@@ -8,10 +8,10 @@ unitary witnesses.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceFailure, SymmetryViolation
 from .states import ParticleCase, QuantumState
@@ -38,111 +38,159 @@ class CanonicalForm:
     residual: float
 
 
-def _cluster_slices(s: np.ndarray, cluster_tol: float) -> list[slice]:
-    """Split a descending nonnegative vector at relative gaps above cluster_tol."""
-    bounds = [0]
-    for i in range(len(s) - 1):
-        if s[i] - s[i + 1] > cluster_tol * s[0]:
-            bounds.append(i + 1)
-    bounds.append(len(s))
-    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+def cluster_bounds(values, cluster_tol: float) -> list[int]:
+    """Block boundaries of a descending nonnegative vector.
+
+    Returns 0, every index that follows a drop larger than
+    ``cluster_tol * values[0]``, and ``len(values)``; consecutive entries
+    delimit one block of equal values.
+    """
+    values = np.asarray(values)
+    cuts = np.flatnonzero(values[:-1] - values[1:] > cluster_tol * values[0]) + 1
+    return [0, *cuts.tolist(), len(values)]
 
 
-def _takagi_once(c, v, s, w, cluster_tol):
-    n = c.shape[0]
-    u = np.zeros((n, n), dtype=complex)
-    for blk in _cluster_slices(s, cluster_tol):
-        if s[blk][0] <= cluster_tol * s[0]:
-            u[:, blk] = v[:, blk]
+def _symmetric_unitary_root(z: np.ndarray) -> np.ndarray:
+    """R with R R^t = z for a symmetric unitary z.
+
+    One Newton-Schulz step first puts z back on the unitary group, where
+    rounding in tiny clusters can leave it.  R is then a square root taken
+    eigenvalue by eigenvalue, so it is a function of z, symmetric and
+    unitary.  The branch cut sits in the widest gap between the eigenvalue
+    phases, which keeps (nearly) equal eigenvalues on one branch.  A 2 x 2 z,
+    the most frequent cluster, takes the closed form (z + s I) / sqrt(tr z + 2 s)
+    with s^2 = det z, the sign of s keeping the denominator away from zero.
+    """
+    m = len(z)
+    z = z @ (1.5 * np.eye(m) - 0.5 * (z.conj().T @ z))
+    if m == 2:
+        s = cmath.sqrt(z[0, 0] * z[1, 1] - z[0, 1] * z[1, 0])
+        tr = z[0, 0] + z[1, 1]
+        if abs(tr - 2.0 * s) > abs(tr + 2.0 * s):
+            s = -s
+        return (z + s * np.eye(2)) / cmath.sqrt(tr + 2.0 * s)
+    evals, vecs = np.linalg.eig(z)
+    theta = sorted(cmath.phase(e) for e in evals.tolist())
+    gaps = [b - a for a, b in zip(theta, theta[1:] + [theta[0] + 2.0 * cmath.pi])]
+    k = max(range(m), key=gaps.__getitem__)
+    turn = cmath.exp(1j * (cmath.pi - theta[k] - gaps[k] / 2.0))
+    roots = np.sqrt(evals * turn) / cmath.sqrt(turn)
+    return (vecs * roots) @ np.linalg.inv(vecs)
+
+
+def _pair_basis(z: np.ndarray) -> np.ndarray:
+    """Unitary R with R J R^t = z for an antisymmetric unitary z, J = sum of J_2 blocks.
+
+    Greedy pairing: a unit vector a orthogonal to the pairs found so far is
+    paired with b = -z conj(a), which is a unit vector orthogonal to a and to
+    every earlier pair.  Pair k projects the one of the first 2k + 2
+    coordinate vectors that keeps the largest unpaired part, so when z is
+    (nearly) block diagonal over sub-blocks of the cluster, each pair stays
+    in the sub-block whose singular values it is given.
+    """
+    m = z.shape[0]
+    r = np.empty((m, m), dtype=complex)
+    proj = np.eye(m, dtype=complex)  # projector onto the span not yet paired
+    for k in range(0, m, 2):
+        j = int(np.argmax(proj.diagonal()[: k + 2].real))
+        a = proj[:, j] / np.linalg.norm(proj[:, j])
+        proj -= np.outer(a, a.conj())
+        b = proj @ (-z @ a.conj())
+        b /= np.linalg.norm(b)
+        proj -= np.outer(b, b.conj())
+        r[:, k], r[:, k + 1] = a, b
+    return r
+
+
+def _congruence_basis(v, s, wh, sign: int, cluster_tol: float, n_live: int) -> np.ndarray:
+    """Unitary U with c = U core(s) U^t from the SVD c = V diag(s) W^dag.
+
+    On a cluster of equal singular values the coupling Z = W_blk^dag conj(V_blk)
+    is a sign-symmetric unitary, and U_blk = V_blk R with R R^t = Z (sign +1,
+    core diagonal) or R J R^t = Z (sign -1, core of J_2 blocks).  Singletons
+    and fermion pairs are fixed by a scalar phase; larger clusters by the
+    matrix root or the pairing.  Columns from ``n_live`` on hold values at
+    or below the snap to zero and are kept as they are.
+    """
+    u = v.copy()
+    bounds = cluster_bounds(s[:n_live], cluster_tol)
+    unit = 1 if sign > 0 else 2
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    small = np.array([lo for lo, hi in blocks if hi - lo == unit], dtype=int)
+    if len(small):
+        # Z is the 1 x 1 phase z, or the 2 x 2 block z J_2; R = sqrt(z) I
+        last = small + unit - 1
+        z = np.sum(wh[small] * v[:, last].T.conj(), axis=1)
+        if sign < 0:
+            z = (z - np.sum(wh[last] * v[:, small].T.conj(), axis=1)) / 2.0
+        root = np.sqrt(z / np.abs(z))
+        u[:, small] *= root
+        if sign < 0:
+            u[:, last] *= root
+    for lo, hi in blocks:
+        if hi - lo == unit:
             continue
-        z = w[:, blk].conj().T @ v[:, blk].conj()
-        z = (z + z.T) / 2.0
-        u[:, blk] = v[:, blk] @ scipy.linalg.sqrtm(z)
+        z = wh[lo:hi] @ v[:, lo:hi].conj()
+        z = (z + sign * z.T) / 2.0
+        r = _symmetric_unitary_root(z) if sign > 0 else _pair_basis(z)
+        u[:, lo:hi] = v[:, lo:hi] @ r
     return u
+
+
+def _congruence_form(c, sign: int, cluster_tol: float):
+    """Factor a sign-symmetric matrix as c = U core U^t; returns (U, s).
+
+    s holds all N singular values, descending; the core is diag(s) for sign
+    +1 and sum_j s_2j J_2 for sign -1.  One SVD serves every attempt: when the
+    residual misses its bar the clustering is coarsened before giving up.
+    """
+    label, kind = ("takagi", "symmetric") if sign > 0 else ("youla", "antisymmetric")
+    c = np.asarray(c, dtype=complex)
+    if np.linalg.norm(c - sign * c.T) > SYMMETRY_PRE_TOL:
+        raise SymmetryViolation(f"matrix is not {kind} within 1e-10")
+    c = (c + sign * c.T) / 2.0
+    n = c.shape[0]
+    try:
+        v, s, wh = np.linalg.svd(c)
+        if s[0] == 0.0:
+            return np.eye(n, dtype=complex), s
+        n_live = int(np.count_nonzero(s > SNAP_TOL * s[0]))
+        if sign > 0:
+            accept = 1e-10 * max(1.0, s[0])
+        else:
+            n_live += n_live % 2  # a pair straddling the snap stays whole
+            accept = 1e-10 * max(1.0, float(np.linalg.norm(s)))
+            core = fermion_pair_matrix(s[: 2 * (n // 2) : 2], n)
+        best = np.inf
+        for ctol in (cluster_tol, cluster_tol * 1e3, 1e-4, 1e-2):
+            u = _congruence_basis(v, s, wh, sign, ctol, n_live)
+            left = u * s if sign > 0 else u @ core
+            residual = np.linalg.norm(c - left @ u.T)
+            if residual <= accept:
+                return u, s
+            best = min(best, residual)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"{label}: {exc}") from exc
+    raise ConvergenceFailure(f"{label} residual {best:.3e} above tolerance {accept:.3e}")
 
 
 def takagi(c, cluster_tol: float = CLUSTER_TOL):
     """Factor a complex symmetric matrix as c = U diag(lam) U^t.
 
     Returns (U, lam) with U unitary and lam the singular values of c in
-    descending order.  The square root of the unitary coupling V^dag W-bar is
-    taken blockwise on singular-value clusters; on residual failure the
-    clustering is coarsened before giving up.
+    descending order.  ``cluster_tol`` is the first clustering tried.
     """
-    c = np.asarray(c, dtype=complex)
-    if np.linalg.norm(c - c.T) > SYMMETRY_PRE_TOL:
-        raise SymmetryViolation("matrix is not symmetric within 1e-10")
-    c = (c + c.T) / 2.0
-    v, s, wh = np.linalg.svd(c)
-    if s[0] == 0.0:
-        return np.eye(c.shape[0], dtype=complex), s
-    w = wh.conj().T
-    accept = 1e-10 * max(1.0, s[0])
-    best = None
-    for ctol in (cluster_tol, cluster_tol * 1e3, 1e-4, 1e-2):
-        u = _takagi_once(c, v, s, w, ctol)
-        residual = np.linalg.norm(c - (u * s) @ u.T)
-        if best is None or residual < best[0]:
-            best = (residual, u)
-        if residual <= accept:
-            return u, s
-    raise ConvergenceFailure(f"takagi residual {best[0]:.3e} above tolerance {accept:.3e}")
+    return _congruence_form(c, 1, cluster_tol)
 
 
 def youla_antisymmetric(c):
     """Factor a complex antisymmetric matrix as c = U (sum lam_j J_2 + 0) U^t.
 
     Returns (U, lam) with lam of length floor(N/2) sorted descending; each
-    lam_j is a doubled singular value of c.  Pairs are extracted greedily from
-    the top singular subspace and deflated, which keeps clustered values exact.
+    lam_j is a doubled singular value of c (Youla 1961).
     """
-    c = np.asarray(c, dtype=complex)
-    if np.linalg.norm(c + c.T) > SYMMETRY_PRE_TOL:
-        raise SymmetryViolation("matrix is not antisymmetric within 1e-10")
-    c = (c - c.T) / 2.0
-    n = c.shape[0]
-    scale = np.linalg.norm(c)
-    pairs = n // 2
-    cols: list[np.ndarray] = []
-    lams: list[float] = []
-    residue = c.copy()
-    while len(lams) < pairs:
-        v, s, wh = np.linalg.svd(residue)
-        if scale == 0.0 or s[0] <= 1e-13 * scale:
-            break
-        a = v[:, 0]
-        b = wh[0, :]  # conj of the top right-singular vector
-        # a^t c a = 0 forces <a, b> = 0; re-orthogonalize against earlier pairs
-        # to stop float drift from accumulating across deflation steps.
-        for col in cols:
-            a = a - col * np.vdot(col, a)
-            b = b - col * np.vdot(col, b)
-        a = a / np.linalg.norm(a)
-        b = b - a * np.vdot(a, b)
-        b = b / np.linalg.norm(b)
-        lams.append(float(s[0]))
-        cols.extend([a, b])
-        residue = residue - s[0] * (np.outer(a, b) - np.outer(b, a))
-    # float noise can leave clustered extractions a few ulps out of order;
-    # sort the pairs so lam is descending and the columns track it
-    order = sorted(range(len(lams)), key=lambda j: -lams[j])
-    lams = [lams[j] for j in order]
-    cols = [cols[2 * j + off] for j in order for off in (0, 1)]
-    lam = np.zeros(pairs)
-    lam[: len(lams)] = lams
-    if cols:
-        partial = np.column_stack(cols)
-        if partial.shape[1] < n:
-            comp = scipy.linalg.null_space(partial.conj().T)
-            u = np.column_stack([partial, comp])
-        else:
-            u = partial
-    else:
-        u = np.eye(n, dtype=complex)
-    residual = np.linalg.norm(c - u @ fermion_pair_matrix(lam, n) @ u.T)
-    if residual > 1e-10 * max(1.0, scale):
-        raise ConvergenceFailure(f"youla residual {residual:.3e} above tolerance")
-    return u, lam
+    u, s = _congruence_form(c, -1, CLUSTER_TOL)
+    return u, s[: 2 * (len(s) // 2) : 2]
 
 
 def svd_congruence(c):
@@ -155,9 +203,10 @@ def svd_congruence(c):
 def fermion_pair_matrix(lam, n: int) -> np.ndarray:
     """Block matrix sum_j lam_j J_2 padded with a zero row/column for odd n."""
     out = np.zeros((n, n), dtype=complex)
-    for j, val in enumerate(lam):
-        out[2 * j, 2 * j + 1] = val
-        out[2 * j + 1, 2 * j] = -val
+    lam = np.asarray(lam)
+    idx = np.arange(len(lam))
+    out[2 * idx, 2 * idx + 1] = lam
+    out[2 * idx + 1, 2 * idx] = -lam
     return out
 
 

@@ -99,7 +99,7 @@ def validate(raw, case: ParticleCase, tol: float = DEFAULT_SYMMETRY_TOL) -> Quan
         raise NonSquareInput(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise ValidationError("one-particle dimension must be at least 2")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.all(np.isfinite(arr)):
         raise ValidationError("matrix contains NaN or Inf entries")
     norm = np.linalg.norm(arr)
     if norm == 0.0:

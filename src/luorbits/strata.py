@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalForm, canonicalize, fermion_pair_matrix
+from .canonical import CanonicalForm, canonicalize, cluster_bounds, fermion_pair_matrix
 from .errors import InvalidStratum, UnsortedInput, ValidationError
 from .states import ParticleCase, QuantumState, apply_group_action, random_local_unitary, validate
 
@@ -88,25 +88,14 @@ class OrbitInvariants:
 def _cluster(values: np.ndarray, cluster_tol: float):
     """Sizes of equal-value blocks plus whether the trailing block is zero."""
     vmax = values[0]
-    sizes = []
-    start = 0
-    for i in range(len(values) - 1):
-        if values[i] - values[i + 1] > cluster_tol * vmax:
-            sizes.append(i + 1 - start)
-            start = i + 1
-    sizes.append(len(values) - start)
+    bounds = cluster_bounds(values, cluster_tol)
+    sizes = [hi - lo for lo, hi in zip(bounds[:-1], bounds[1:])]
     zero_last = bool(values[-1] <= cluster_tol * vmax)
-    gaps = []
-    pos = 0
-    for size in sizes[:-1]:
-        pos += size
-        gaps.append(float(values[pos - 1] - values[pos]) / vmax)
     # distance to the nearest coarser stratum: merge two blocks, or drop the
     # smallest block to zero when the state is full rank
-    candidates = list(gaps)
+    candidates = [float(values[pos - 1] - values[pos]) / vmax for pos in bounds[1:-1]]
     if not zero_last:
-        lo = len(values) - sizes[-1]
-        candidates.append(float(values[lo]) / vmax)
+        candidates.append(float(values[bounds[-2]]) / vmax)
     return sizes, zero_last, min(candidates) if candidates else float(values[0]) / vmax
 
 

@@ -1,16 +1,20 @@
 """Tests for Takagi, Youla, two-sided SVD, and slice canonicalization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luorbits import (
+    ConvergenceFailure,
     ParticleCase,
     SymmetryViolation,
     apply_group_action,
     canonicalize,
     fermion_pair_matrix,
+    lu_equivalent,
     random_local_unitary,
     random_state,
     reconstruct,
@@ -20,7 +24,8 @@ from luorbits import (
     validate,
     youla_antisymmetric,
 )
-from luorbits.states import haar_special_unitary
+from luorbits.cli import main
+from luorbits.states import haar_special_unitary, state_to_dict
 from conftest import ALL_CASES, assert_special_unitary, assert_unitary
 
 
@@ -32,6 +37,20 @@ def random_symmetric(n, rng, ranks=None):
 def random_antisymmetric(n, rng):
     c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (c - c.T) / 2
+
+
+def planted_generic_fermion(n, seed):
+    """Rotated fermion slice point with floor(N/2) well-separated lambdas, unit norm."""
+    rng = np.random.default_rng(seed)
+    k = n // 2
+    gaps = rng.uniform(0.5, 1.5, size=k - 1) * (0.5 / k)
+    lam = 1.0 - np.concatenate([[0.0], np.cumsum(gaps)])
+    lam /= np.sqrt(2.0 * np.sum(lam**2))
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    c = np.exp(2j * np.pi * rng.uniform()) * (u @ fermion_pair_matrix(lam, n) @ u.T)
+    return c / np.linalg.norm(c)
 
 
 class TestTakagi:
@@ -125,6 +144,61 @@ class TestYoula:
             u, lam = youla_antisymmetric(c)
             assert np.linalg.norm(c - u @ fermion_pair_matrix(lam, n) @ u.T) <= 1e-10
             np.testing.assert_allclose(lam, sorted(vals, reverse=True), atol=1e-10)
+
+
+class TestNearRankDeficient:
+    """A value just above the snap to zero, next to an exact zero, is still fixed."""
+
+    @pytest.mark.parametrize("small", [1e-7, 1e-9, 1e-11])
+    def test_boson(self, small):
+        u = haar_special_unitary(4, np.random.default_rng(0))
+        c = u @ np.diag([1.0, 0.5, small, 0.0]) @ u.T
+        w, lam = takagi(c)
+        assert_unitary(w)
+        assert np.linalg.norm(c - (w * lam) @ w.T) <= 1e-10
+        np.testing.assert_allclose(lam, [1.0, 0.5, small, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("small", [1e-7, 1e-9, 1e-11])
+    def test_fermion(self, small):
+        u = haar_special_unitary(4, np.random.default_rng(0))
+        c = u @ fermion_pair_matrix([1.0, small], 4) @ u.T
+        w, lam = youla_antisymmetric(c)
+        assert_unitary(w)
+        assert np.linalg.norm(c - w @ fermion_pair_matrix(lam, 4) @ w.T) <= 1e-10
+        np.testing.assert_allclose(lam, [1.0, small], atol=1e-12)
+
+
+class TestLargeFermion:
+    @pytest.mark.parametrize("n, seed", [(64, 223), (65, 1), (96, 2), (128, 3)])
+    def test_canonicalize(self, n, seed):
+        # N = 64, seed 223: greedy Youla deflation hits an SVD that does not converge
+        s = validate(planted_generic_fermion(n, seed), ParticleCase.FERMION)
+        cf = canonicalize(s)
+        assert np.linalg.norm(s.coeffs - reconstruct(cf)) <= 1e-10
+        assert_special_unitary(cf.witness_u)
+        singular = np.linalg.svd(s.coeffs, compute_uv=False)
+        np.testing.assert_allclose(
+            cf.lambdas, singular[: 2 * (n // 2) : 2], rtol=0, atol=1e-12 * np.linalg.norm(s.coeffs))
+
+
+class TestLapackFailure:
+    @pytest.mark.parametrize("case", [ParticleCase.BOSON, ParticleCase.FERMION])
+    def test_svd_failure_is_a_convergence_failure(self, case, monkeypatch, tmp_path, capsys):
+        s = random_state(case, 4, 0)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state_to_dict(s)))
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(ConvergenceFailure):
+            canonicalize(s)
+        verdict = lu_equivalent(s, s)
+        assert verdict.equivalent and verdict.witness is None
+        assert len(verdict.warnings) == 1 and verdict.warnings[0].startswith("witness failed")
+        assert main(["classify", str(path)]) == 4
+        assert "convergence failure" in capsys.readouterr().err
 
 
 class TestSvdCongruence:

@@ -1,10 +1,15 @@
 """Tests for the command-line interface: exit codes, JSON output, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import luorbits
 from luorbits.cli import main
 
 
@@ -160,3 +165,13 @@ class TestDemo:
         assert report["moment_images_equal"]
         assert report["tangle_x1"] == pytest.approx(8 / 9, abs=1e-10)
         assert report["tangle_x2"] == 0.0
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = dict(os.environ)
+    src_dir = str(Path(luorbits.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    code = "import luorbits.cli, sys; assert 'scipy' not in sys.modules"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr

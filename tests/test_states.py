@@ -73,6 +73,32 @@ class TestValidate:
         with pytest.raises(ValueError):
             s.coeffs[0, 0] = 1.0
 
+    def test_fortran_ordered_input(self):
+        raw = np.asfortranarray(np.diag([1.0, 2.0, 3.0, 4.0]) + 0j)
+        s = validate(raw, ParticleCase.BOSON)
+        np.testing.assert_allclose(s.coeffs, np.diag([1.0, 2.0, 3.0, 4.0]) / np.sqrt(30), atol=1e-15)
+
+    def test_transposed_view_input(self):
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        raw = np.ascontiguousarray(base.T).T
+        assert not raw.flags.c_contiguous
+        s = validate(raw, ParticleCase.DISTINGUISHABLE)
+        np.testing.assert_allclose(s.coeffs, base / np.linalg.norm(base), atol=1e-15)
+
+    def test_non_contiguous_nan_rejected(self):
+        raw = np.asfortranarray(np.eye(3, dtype=complex))
+        raw[1, 2] = complex(0.0, np.nan)
+        with pytest.raises(ValidationError):
+            validate(raw, ParticleCase.DISTINGUISHABLE)
+
+    @pytest.mark.parametrize("case", [ParticleCase.BOSON, ParticleCase.FERMION])
+    def test_random_state_at_n128(self, case):
+        s = random_state(case, 128, 3)
+        assert s.coeffs.shape == (128, 128)
+        assert np.isclose(np.linalg.norm(s.coeffs), 1.0, atol=1e-12)
+        assert np.array_equal(s.coeffs, case.symmetry_sign * s.coeffs.T)
+
 
 class TestGroupAction:
     def test_boson_congruence_stays_symmetric(self):

@@ -18,6 +18,7 @@ from luorbits import (
     representative_state,
     validate,
 )
+from luorbits.canonical import cluster_bounds
 from luorbits.strata import group_su_factor, sym_so_factor, sym_usp_factor, torus_factor
 from conftest import ALL_CASES
 
@@ -58,6 +59,22 @@ class TestMultiplicityVector:
     def test_cluster_tolerance(self):
         assert multiplicity_vector([0.5, 0.5 - 1e-10, 0.3], BOSON).d == (2, 1)
         assert multiplicity_vector([0.5, 0.4, 0.3], BOSON).d == (1, 1, 1)
+
+    def test_cluster_bounds_match_a_scalar_loop(self):
+        def loop_bounds(values, tol):
+            bounds = [0]
+            for i in range(len(values) - 1):
+                if values[i] - values[i + 1] > tol * values[0]:
+                    bounds.append(i + 1)
+            return bounds + [len(values)]
+
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 12))
+            steps = rng.choice([0.0, 1e-12, 1e-9, 1e-8, 1e-7, 0.1], size=n)
+            values = np.maximum(1.0 - np.cumsum(steps) + steps[0], 0.0)
+            for tol in (1e-8, 1e-4):
+                assert cluster_bounds(values, tol) == loop_bounds(values, tol)
 
 
 class TestDimensionFormulas:
