@@ -36,8 +36,6 @@ from .errors import (
 )
 from .moment import (
     MomentImage,
-    PolytopePoint,
-    moment_equal,
     polytope_membership,
     reduced_matrix,
 )
@@ -92,7 +90,6 @@ __all__ = [
     "OrbitInvariants",
     "ParseError",
     "ParticleCase",
-    "PolytopePoint",
     "QuantumState",
     "RankAmbiguityWarning",
     "SymmetryViolation",
@@ -110,7 +107,6 @@ __all__ = [
     "fiber_structure",
     "flag_dimension",
     "lu_equivalent",
-    "moment_equal",
     "multiplicity_vector",
     "oracle_check",
     "orbit_dimension_numeric",

@@ -174,13 +174,13 @@ def _congruence_form(c, sign: int, cluster_tol: float):
     raise ConvergenceFailure(f"{label} residual {best:.3e} above tolerance {accept:.3e}")
 
 
-def takagi(c, cluster_tol: float = CLUSTER_TOL):
+def takagi(c):
     """Factor a complex symmetric matrix as c = U diag(lam) U^t.
 
     Returns (U, lam) with U unitary and lam the singular values of c in
-    descending order.  ``cluster_tol`` is the first clustering tried.
+    descending order.
     """
-    return _congruence_form(c, 1, cluster_tol)
+    return _congruence_form(c, 1, CLUSTER_TOL)
 
 
 def youla_antisymmetric(c):

@@ -10,9 +10,15 @@ from .canonical import canonical_to_dict, canonicalize
 from .equivalence import lu_equivalent, verdict_to_dict
 from .errors import ConvergenceFailure, LuorbitsError, ParseError, ValidationError
 from .moment import moment_to_dict, reduced_matrix
-from .oracle import counterexample_demo, oracle_check, oracle_to_dict
+from .oracle import DEFAULT_RANK_TOL, counterexample_demo, oracle_check, oracle_to_dict
 from .states import ParticleCase, random_state, state_from_dict, state_to_dict
-from .strata import enumerate_strata, orbit_invariants, representative_state, stratum_to_dict
+from .strata import (
+    DEFAULT_CLUSTER_TOL,
+    enumerate_strata,
+    orbit_invariants,
+    representative_state,
+    stratum_to_dict,
+)
 
 EXIT_OK = 0
 EXIT_DIFFERENT = 1
@@ -196,11 +202,11 @@ def _add_common(parser, *, tol=True, cluster=False, rank=False):
         parser.add_argument("--tol", type=float, default=1e-8,
                             help="spectrum/validation tolerance (default 1e-8)")
     if cluster:
-        parser.add_argument("--cluster-tol", type=float, default=1e-8,
-                            help="relative gap for spectrum clustering (default 1e-8)")
+        parser.add_argument("--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL,
+                            help="relative gap for spectrum clustering (default %(default)s)")
     if rank:
-        parser.add_argument("--rank-tol", type=float, default=1e-9,
-                            help="relative threshold for numerical ranks (default 1e-9)")
+        parser.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
+                            help="relative threshold for numerical ranks (default %(default)s)")
     parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     parser.add_argument("--out", default=None, help="write output to this file instead of stdout")
 

@@ -12,10 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CaseMismatch, DimensionMismatch
 from .states import ParticleCase, QuantumState
-
-DEFAULT_MOMENT_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,17 +29,6 @@ class MomentImage:
     def probabilities(self) -> np.ndarray:
         """Sorted-descending eigenvalues of rho_left (the p vector)."""
         return self.q_spectrum + 1.0 / self.n_levels
-
-
-@dataclass(frozen=True, eq=False)
-class PolytopePoint:
-    """A candidate point of the translated probability polyhedron."""
-
-    q: np.ndarray
-    case: ParticleCase
-
-    def in_polytope(self, tol: float = 1e-10) -> bool:
-        return polytope_membership(self.q, self.case, tol)
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
@@ -64,15 +50,6 @@ def reduced_matrix(state: QuantumState) -> MomentImage:
         if arr is not None:
             arr.setflags(write=False)
     return MomentImage(state.case, n, rho_left, rho_right, q)
-
-
-def moment_equal(a: MomentImage, b: MomentImage, tol: float = DEFAULT_MOMENT_TOL) -> bool:
-    """True iff the sorted translated spectra agree in the sup norm."""
-    if a.case is not b.case:
-        raise CaseMismatch(f"cannot compare {a.case.value} with {b.case.value}")
-    if a.n_levels != b.n_levels:
-        raise DimensionMismatch(f"N mismatch: {a.n_levels} vs {b.n_levels}")
-    return bool(np.max(np.abs(a.q_spectrum - b.q_spectrum)) <= tol)
 
 
 def polytope_membership(q, case: ParticleCase, tol: float = 1e-10) -> bool:

@@ -17,10 +17,11 @@ import numpy as np
 
 from .canonical import canonicalize
 from .errors import RankAmbiguityWarning, ValidationError
-from .states import ParticleCase, QuantumState, apply_algebra_action
-from .strata import orbit_invariants
+from .states import ParticleCase, QuantumState
+from .strata import DEFAULT_CLUSTER_TOL, orbit_invariants
 
 DEFAULT_RANK_TOL = 1e-9
+_AMBIGUOUS = "{}: singular value within a factor of 10 of the rank threshold"
 
 
 @dataclass(frozen=True)
@@ -37,24 +38,18 @@ class OracleReport:
     warnings: tuple[str, ...] = field(default=())
 
 
-def su_basis(n: int) -> list[np.ndarray]:
-    """Real basis of su(N): traceless i-diagonals plus off-diagonal pairs."""
-    basis = []
-    for k in range(n - 1):
-        d = np.zeros((n, n), dtype=complex)
-        d[k, k] = 1j
-        d[k + 1, k + 1] = -1j
-        basis.append(d)
-    for k in range(n):
-        for l in range(k + 1, n):
-            re = np.zeros((n, n), dtype=complex)
-            re[k, l] = 1.0
-            re[l, k] = -1.0
-            basis.append(re)
-            im = np.zeros((n, n), dtype=complex)
-            im[k, l] = 1j
-            im[l, k] = 1j
-            basis.append(im)
+def su_basis(n: int) -> np.ndarray:
+    """Real basis of su(N), stacked (N^2-1, N, N): i-diagonals, then (re, im) off-diagonal pairs."""
+    basis = np.zeros((n * n - 1, n, n), dtype=complex)
+    k = np.arange(n - 1)
+    basis[k, k, k] = 1j
+    basis[k, k + 1, k + 1] = -1j
+    rows, cols = np.triu_indices(n, 1)
+    re = n - 1 + 2 * np.arange(len(rows))
+    basis[re, rows, cols] = 1.0
+    basis[re, cols, rows] = -1.0
+    basis[re + 1, rows, cols] = 1j
+    basis[re + 1, cols, rows] = 1j
     return basis
 
 
@@ -62,7 +57,7 @@ def algebra_basis(case: ParticleCase, n: int) -> list:
     """Basis of the local algebra: su(N), or two copies for distinguishable."""
     if n < 2:
         raise ValidationError("n must be at least 2")
-    single = su_basis(n)
+    single = list(su_basis(n))
     if case is not ParticleCase.DISTINGUISHABLE:
         return single
     zero = np.zeros((n, n), dtype=complex)
@@ -70,13 +65,24 @@ def algebra_basis(case: ParticleCase, n: int) -> list:
 
 
 def _acted_vectors(state: QuantumState) -> np.ndarray:
-    """Stack of rho(xi_a) C over the algebra basis, flattened, one row each."""
-    basis = algebra_basis(state.case, state.n_levels)
-    return np.array([apply_algebra_action(state, xi).ravel() for xi in basis])
+    """Stack of rho(xi_a) C over the algebra basis, flattened, one row each.
+
+    C is exactly (anti)symmetric after validation, so C xi^t = sign (xi C)^t
+    and the congruence action needs only the one product xi C.
+    """
+    c = state.coeffs
+    basis = su_basis(state.n_levels)
+    left = basis @ c
+    sign = state.case.symmetry_sign
+    if sign is None:
+        acted = np.concatenate([left, c @ basis.transpose(0, 2, 1)])
+    else:
+        acted = left + sign * left.transpose(0, 2, 1)
+    return acted.reshape(len(acted), -1)
 
 
 def _thresholded_rank(svals: np.ndarray, rank_tol: float, scale_floor: float = 0.0):
-    """Count singular values above rank_tol * scale.
+    """Count singular values above rank_tol * scale; returns (rank, ambiguous).
 
     ``scale_floor`` guards the all-zero case: a form that vanishes on the
     whole orbit leaves only noise-level singular values, which must not be
@@ -91,19 +97,28 @@ def _thresholded_rank(svals: np.ndarray, rank_tol: float, scale_floor: float = 0
     return rank, ambiguous
 
 
+def _orbit_rank(acted: np.ndarray, c: np.ndarray, rank_tol: float):
+    """(rank, ambiguous) of the acted vectors projected off the flattened state c."""
+    tangents = acted - np.outer(acted @ c.conj(), c)
+    real_rows = np.hstack([tangents.real, tangents.imag])
+    svals = np.linalg.svd(real_rows, compute_uv=False)
+    return _thresholded_rank(svals, rank_tol)
+
+
+def _symplectic_rank(acted: np.ndarray, rank_tol: float):
+    """(rank, ambiguous) of the two-form -Im <xi C, eta C> over the algebra basis."""
+    gram = acted.conj() @ acted.T
+    svals = np.linalg.svd(-gram.imag, compute_uv=False)
+    return _thresholded_rank(svals, rank_tol, scale_floor=gram.real.diagonal().max())
+
+
 def _warn_ambiguous(what: str) -> None:
-    warnings.warn(f"{what}: singular value within a factor of 10 of the rank threshold",
-                  RankAmbiguityWarning, stacklevel=3)
+    warnings.warn(_AMBIGUOUS.format(what), RankAmbiguityWarning, stacklevel=3)
 
 
 def orbit_dimension_numeric(state: QuantumState, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Real rank of the projected fundamental vector fields at the state."""
-    c = state.coeffs.ravel()
-    acted = _acted_vectors(state)
-    tangents = acted - np.outer(acted @ c.conj(), c)
-    real_rows = np.hstack([tangents.real, tangents.imag])
-    svals = np.linalg.svd(real_rows, compute_uv=False)
-    rank, ambiguous = _thresholded_rank(svals, rank_tol)
+    rank, ambiguous = _orbit_rank(_acted_vectors(state), state.coeffs.ravel(), rank_tol)
     if ambiguous:
         _warn_ambiguous("orbit dimension")
     return rank
@@ -117,11 +132,7 @@ def symplectic_rank_numeric(state: QuantumState, rank_tol: float = DEFAULT_RANK_
     matrix of the acted vectors; isotropy and phase directions land in its
     kernel automatically.
     """
-    acted = _acted_vectors(state)
-    gram = acted.conj() @ acted.T
-    omega = -gram.imag
-    svals = np.linalg.svd(omega, compute_uv=False)
-    rank, ambiguous = _thresholded_rank(svals, rank_tol, scale_floor=gram.real.diagonal().max())
+    rank, ambiguous = _symplectic_rank(_acted_vectors(state), rank_tol)
     if ambiguous:
         _warn_ambiguous("symplectic rank")
     return rank
@@ -130,17 +141,17 @@ def symplectic_rank_numeric(state: QuantumState, rank_tol: float = DEFAULT_RANK_
 def oracle_check(
     state: QuantumState,
     rank_tol: float = DEFAULT_RANK_TOL,
-    cluster_tol: float = 1e-8,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> OracleReport:
-    """Compare numeric orbit dimension and degeneracy with the formula values."""
-    notes: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RankAmbiguityWarning)
-        orbit_dim = orbit_dimension_numeric(state, rank_tol)
-        rank = symplectic_rank_numeric(state, rank_tol)
-    for item in caught:
-        if issubclass(item.category, RankAmbiguityWarning):
-            notes.append(str(item.message))
+    """Compare numeric orbit dimension and degeneracy with the formula values.
+
+    Rank ambiguities are reported in ``warnings`` rather than emitted.
+    """
+    acted = _acted_vectors(state)
+    orbit_dim, orbit_ambiguous = _orbit_rank(acted, state.coeffs.ravel(), rank_tol)
+    rank, rank_ambiguous = _symplectic_rank(acted, rank_tol)
+    flags = {"orbit dimension": orbit_ambiguous, "symplectic rank": rank_ambiguous}
+    notes = tuple(_AMBIGUOUS.format(what) for what, ambiguous in flags.items() if ambiguous)
     degeneracy = orbit_dim - rank
     inv = orbit_invariants(canonicalize(state), cluster_tol)
     agree = (
@@ -156,7 +167,7 @@ def oracle_check(
         formula_degeneracy=inv.degeneracy_D,
         agree=agree,
         rank_tolerance_used=rank_tol,
-        warnings=tuple(notes),
+        warnings=notes,
     )
 
 

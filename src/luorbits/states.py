@@ -92,7 +92,7 @@ def validate(raw, case: ParticleCase, tol: float = DEFAULT_SYMMETRY_TOL) -> Quan
     repaired silently; larger defects raise SymmetryViolation.
     """
     try:
-        arr = np.array(raw, dtype=complex)
+        arr = np.array(raw, dtype=complex, order="C")
     except (ValueError, TypeError) as exc:
         raise NonSquareInput(f"input is not a complex matrix: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -101,12 +101,17 @@ def validate(raw, case: ParticleCase, tol: float = DEFAULT_SYMMETRY_TOL) -> Quan
         raise ValidationError("one-particle dimension must be at least 2")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("matrix contains NaN or Inf entries")
-    norm = np.linalg.norm(arr)
-    if norm == 0.0:
+    # scale the real and imaginary parts by the largest of them first, so
+    # that no norm below under- or overflows; |z| can overflow near the float
+    # limit, and complex division by a subnormal overflows in its reciprocal
+    parts = arr.view(float)
+    scale = np.abs(parts).max()
+    if scale == 0.0:
         raise ZeroState("coefficient matrix is zero")
+    parts /= scale
     sign = case.symmetry_sign
     if sign is not None:
-        defect = np.linalg.norm(arr - sign * arr.T) / norm
+        defect = np.linalg.norm(arr - sign * arr.T) / np.linalg.norm(arr)
         if defect > tol:
             kind = "symmetry" if sign == 1 else "antisymmetry"
             raise SymmetryViolation(f"{kind} defect {defect:.3e} exceeds tolerance {tol:.3e}")

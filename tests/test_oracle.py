@@ -1,5 +1,7 @@
 """Tests for the numerical orbit/symplectic oracle and the three-qubit demo."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from luorbits import (
     ParticleCase,
     RankAmbiguityWarning,
     algebra_basis,
+    apply_algebra_action,
     apply_group_action,
     counterexample_demo,
     fermion_pair_matrix,
@@ -18,6 +21,7 @@ from luorbits import (
     three_tangle,
     validate,
 )
+from luorbits.oracle import _acted_vectors
 from conftest import ALL_CASES, ckw_three_tangle
 
 BOSON = ParticleCase.BOSON
@@ -40,6 +44,17 @@ class TestAlgebraBasis:
         basis = algebra_basis(BOSON, 3)
         stacked = np.array([np.concatenate([b.real.ravel(), b.imag.ravel()]) for b in basis])
         assert np.linalg.matrix_rank(stacked) == 8
+
+
+class TestActedVectors:
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_matches_the_per_element_algebra_action(self, case):
+        c = fermion_pair_matrix([1.0], 5) if case is FERMION else np.diag([0.8, 0.6, 0.0, 0.0])
+        rank_deficient = apply_group_action(validate(c, case), random_local_unitary(case, len(c), 4))
+        for s in [random_state(case, n, 40 + n) for n in range(2, 6)] + [rank_deficient]:
+            reference = np.array([apply_algebra_action(s, xi).ravel()
+                                  for xi in algebra_basis(case, s.n_levels)])
+            assert np.max(np.abs(_acted_vectors(s) - reference)) <= 1e-14 * np.linalg.norm(s.coeffs)
 
 
 class TestOrbitDimension:
@@ -130,6 +145,17 @@ class TestOracleCheck:
         report = oracle_check(s, rank_tol=1e-9)
         assert report.warnings
         assert not report.agree
+
+    def test_report_notes_are_the_wrapper_warnings(self):
+        s = validate(np.diag([1.0, 2e-9, 0.0]), DIST)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RankAmbiguityWarning)
+            orbit_dimension_numeric(s, rank_tol=1e-9)
+            symplectic_rank_numeric(s, rank_tol=1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RankAmbiguityWarning)
+            report = oracle_check(s, rank_tol=1e-9)
+        assert report.warnings == tuple(str(item.message) for item in caught)
 
 
 class TestThreeTangle:

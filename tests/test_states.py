@@ -20,6 +20,7 @@ from luorbits import (
     ZeroState,
     apply_algebra_action,
     apply_group_action,
+    canonicalize,
     random_local_unitary,
     random_state,
     state_from_dict,
@@ -98,6 +99,19 @@ class TestValidate:
         assert s.coeffs.shape == (128, 128)
         assert np.isclose(np.linalg.norm(s.coeffs), 1.0, atol=1e-12)
         assert np.array_equal(s.coeffs, case.symmetry_sign * s.coeffs.T)
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    def test_extreme_scale(self, case, scale):
+        # norms of the raw input would under- or overflow at these scales
+        unit = random_state(case, 4, 5)
+        s = validate(unit.coeffs * scale, case)
+        assert np.isclose(np.linalg.norm(s.coeffs), 1.0, atol=1e-12)
+        np.testing.assert_allclose(canonicalize(s).lambdas, canonicalize(unit).lambdas, rtol=0, atol=1e-12)
+
+    def test_subnormal_entries(self):
+        s = validate(np.diag([8.0, 6.0]) * 5e-324, ParticleCase.BOSON)
+        np.testing.assert_allclose(s.coeffs, np.diag([0.8, 0.6]), rtol=0, atol=1e-15)
 
 
 class TestGroupAction:
