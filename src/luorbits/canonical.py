@@ -232,7 +232,18 @@ def reconstruct(cf: CanonicalForm) -> np.ndarray:
 
 
 def canonicalize(state: QuantumState) -> CanonicalForm:
-    """Reduce a state to its unique slice representative with SU(N) witnesses."""
+    """Reduce a state to its unique slice representative with SU(N) witnesses.
+
+    The form is computed once per state and stored on it; later calls return
+    the same object.
+    """
+    derived = state._derived
+    if "canonical" not in derived:
+        derived["canonical"] = _canonical_form(state)
+    return derived["canonical"]
+
+
+def _canonical_form(state: QuantumState) -> CanonicalForm:
     c = state.coeffs
     n = state.n_levels
     if state.case is ParticleCase.BOSON:

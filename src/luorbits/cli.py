@@ -7,11 +7,17 @@ import json
 import sys
 
 from .canonical import canonical_to_dict, canonicalize
-from .equivalence import lu_equivalent, verdict_to_dict
+from .equivalence import DEFAULT_SPECTRUM_TOL, lu_equivalent, verdict_to_dict
 from .errors import ConvergenceFailure, LuorbitsError, ParseError, ValidationError
 from .moment import moment_to_dict, reduced_matrix
 from .oracle import DEFAULT_RANK_TOL, counterexample_demo, oracle_check, oracle_to_dict
-from .states import ParticleCase, random_state, state_from_dict, state_to_dict
+from .states import (
+    DEFAULT_SYMMETRY_TOL,
+    ParticleCase,
+    random_state,
+    state_from_dict,
+    state_to_dict,
+)
 from .strata import (
     DEFAULT_CLUSTER_TOL,
     enumerate_strata,
@@ -50,7 +56,7 @@ def _emit_json(payload, out_path: str | None) -> None:
     _emit(json.dumps(_round15(payload), indent=2), out_path)
 
 
-def _load_state(path: str, tol: float):
+def _load_state(path: str, tol: float = DEFAULT_SYMMETRY_TOL):
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -104,8 +110,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    a = _load_state(args.path_a, 1e-9)
-    b = _load_state(args.path_b, 1e-9)
+    a = _load_state(args.path_a)
+    b = _load_state(args.path_b)
     verdict = lu_equivalent(a, b, args.tol)
     if args.json:
         _emit_json(verdict_to_dict(verdict), args.out)
@@ -197,10 +203,18 @@ def _fmt_vec(values) -> str:
     return "[" + ", ".join(f"{float(v):.6g}" for v in values) + "]"
 
 
-def _add_common(parser, *, tol=True, cluster=False, rank=False):
+# what --tol means for each command that takes it: (default, help)
+_TOL = {
+    "symmetry": (DEFAULT_SYMMETRY_TOL, "symmetry-repair tolerance for loading the state file"),
+    "spectrum": (DEFAULT_SPECTRUM_TOL, "spectral distance up to which two states are equivalent"),
+}
+
+
+def _add_common(parser, *, tol=None, cluster=False, rank=False):
     if tol:
-        parser.add_argument("--tol", type=float, default=1e-8,
-                            help="spectrum/validation tolerance (default 1e-8)")
+        default, text = _TOL[tol]
+        parser.add_argument("--tol", type=float, default=default,
+                            help=f"{text} (default %(default)s)")
     if cluster:
         parser.add_argument("--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL,
                             help="relative gap for spectrum clustering (default %(default)s)")
@@ -220,13 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="canonical form, moment spectrum and orbit invariants")
     p.add_argument("path", help="state file (JSON)")
-    _add_common(p, cluster=True)
+    _add_common(p, tol="symmetry", cluster=True)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("compare", help="decide local-unitary equivalence of two states")
     p.add_argument("path_a")
     p.add_argument("path_b")
-    _add_common(p)
+    _add_common(p, tol="spectrum")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("strata", help="table of all orbit types for a case and N")
@@ -234,12 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", "--N", dest="n", type=int, required=True)
     p.add_argument("--verify", action="store_true",
                    help="sample a representative per stratum and run the oracle")
-    _add_common(p, tol=False, cluster=True, rank=True)
+    _add_common(p, cluster=True, rank=True)
     p.set_defaults(func=_cmd_strata)
 
     p = sub.add_parser("oracle", help="numeric orbit dimension and symplectic rank of a state")
     p.add_argument("path")
-    _add_common(p, cluster=True, rank=True)
+    _add_common(p, tol="symmetry", cluster=True, rank=True)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("random", help="write a random state file")
@@ -250,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_random)
 
     p = sub.add_parser("demo", help="three-qubit counterexample to spectral classification")
-    _add_common(p, tol=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_demo)
 
     return parser

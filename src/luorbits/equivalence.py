@@ -72,7 +72,6 @@ def lu_equivalent(
     distance = float(np.max(np.abs(qa - qb)))
     if distance > tol:
         return EquivalenceVerdict(False, distance, None, None, None)
-    warnings: tuple[str, ...] = ()
     try:
         g, residual, phase = _build_witness(a, b)
     except ConvergenceFailure as exc:
@@ -82,7 +81,7 @@ def lu_equivalent(
             True, distance, None, None, None,
             (f"witness residual {residual:.3e} above {WITNESS_RESIDUAL_TOL:.1e}",),
         )
-    return EquivalenceVerdict(True, distance, g, residual, phase, warnings)
+    return EquivalenceVerdict(True, distance, g, residual, phase)
 
 
 def same_stratum(a: QuantumState, b: QuantumState) -> bool:

@@ -36,7 +36,18 @@ def _hermitize(mat: np.ndarray) -> np.ndarray:
 
 
 def reduced_matrix(state: QuantumState) -> MomentImage:
-    """Compute the one-particle reduced matrix and its translated spectrum."""
+    """Compute the one-particle reduced matrix and its translated spectrum.
+
+    The image is computed once per state and stored on it; later calls return
+    the same object.
+    """
+    derived = state._derived
+    if "moment" not in derived:
+        derived["moment"] = _moment_image(state)
+    return derived["moment"]
+
+
+def _moment_image(state: QuantumState) -> MomentImage:
     c = state.coeffs
     n = state.n_levels
     weight = np.real(np.vdot(c, c))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,11 +60,17 @@ class ParticleCase(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Validated state: unit Frobenius norm, exact symmetry class."""
+    """Validated state: unit Frobenius norm, exact symmetry class.
+
+    ``coeffs`` is read-only on every state the package makes, so the state
+    never changes.  Forms derived from it alone (the canonical form, the
+    moment image) are computed on first request and stored on the instance.
+    """
 
     case: ParticleCase
     n_levels: int
     coeffs: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)

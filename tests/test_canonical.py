@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from luorbits import (
     ConvergenceFailure,
+    LocalUnitary,
     ParticleCase,
     SymmetryViolation,
     apply_group_action,
@@ -298,3 +299,46 @@ class TestCanonicalize:
             n = int(rng.integers(2, 9))
             s = random_state(case, n, int(rng.integers(2**31)))
             assert canonicalize(s).residual <= 1e-9
+
+
+class TestStoredForms:
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_repeated_calls_return_the_stored_object(self, case):
+        s = random_state(case, 5, 2)
+        assert canonicalize(s) is canonicalize(s)
+        assert reduced_matrix(s) is reduced_matrix(s)
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_returned_arrays_are_read_only(self, case):
+        s = random_state(case, 5, 4)
+        cf = canonicalize(s)
+        image = reduced_matrix(s)
+        arrays = [cf.lambdas, cf.witness_u, image.rho_left, image.q_spectrum]
+        if case is ParticleCase.DISTINGUISHABLE:
+            arrays += [cf.witness_v, image.rho_right]
+        assert all(not arr.flags.writeable for arr in arrays)
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_distinct_states_do_not_share(self, case):
+        raw = random_state(case, 4, 6).coeffs
+        a, b = validate(raw, case), validate(raw, case)
+        v = np.eye(4) if case is ParticleCase.DISTINGUISHABLE else None
+        same = apply_group_action(a, LocalUnitary(case, np.eye(4), v))
+        cf, image = canonicalize(a), reduced_matrix(a)
+        for other in (b, same):
+            assert canonicalize(other) is not cf
+            assert reduced_matrix(other) is not image
+            np.testing.assert_allclose(canonicalize(other).lambdas, cf.lambdas, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("case", [ParticleCase.BOSON, ParticleCase.FERMION])
+    def test_failure_is_not_stored(self, case, monkeypatch):
+        s = random_state(case, 4, 1)
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", no_convergence)
+            with pytest.raises(ConvergenceFailure):
+                canonicalize(s)
+        assert canonicalize(s).residual <= 1e-9

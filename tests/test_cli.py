@@ -97,6 +97,29 @@ class TestCompare:
         assert code == 3
 
 
+class TestToleranceFlag:
+    def test_every_command_loads_alike(self, tmp_path, capsys):
+        # symmetry defect 7e-9: above the library's repair tolerance of 1e-9
+        payload = {"case": "boson", "n": 2,
+                   "matrix": [[[0.8, 0.0], [0.1, 0.0]], [[0.1 + 5e-9, 0.0], [0.6, 0.0]]]}
+        path = tmp_path / "skew.json"
+        path.write_text(json.dumps(payload))
+        codes = [run_cli(capsys, "classify", str(path))[0],
+                 run_cli(capsys, "oracle", str(path))[0],
+                 run_cli(capsys, "compare", str(path), str(path))[0]]
+        assert codes == [3, 3, 3]
+        assert run_cli(capsys, "classify", str(path), "--tol", "1e-8")[0] == 0
+
+    def test_defaults(self):
+        from luorbits.cli import build_parser
+        from luorbits.equivalence import DEFAULT_SPECTRUM_TOL
+        from luorbits.states import DEFAULT_SYMMETRY_TOL
+        parser = build_parser()
+        assert parser.parse_args(["classify", "x"]).tol == DEFAULT_SYMMETRY_TOL
+        assert parser.parse_args(["oracle", "x"]).tol == DEFAULT_SYMMETRY_TOL
+        assert parser.parse_args(["compare", "x", "y"]).tol == DEFAULT_SPECTRUM_TOL
+
+
 class TestStrata:
     def test_table(self, capsys):
         code, out, _ = run_cli(capsys, "strata", "--case", "boson", "--n", "3")

@@ -1,5 +1,7 @@
 """Tests for the equivalence decision and witness construction."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ from luorbits import (
     DimensionMismatch,
     ParticleCase,
     apply_group_action,
+    canonicalize,
     fermion_pair_matrix,
     lu_equivalent,
+    orbit_invariants,
     random_local_unitary,
     random_state,
+    reduced_matrix,
     same_stratum,
     validate,
 )
@@ -76,6 +81,34 @@ class TestLuEquivalent:
         with pytest.raises(DimensionMismatch):
             lu_equivalent(random_state(ParticleCase.BOSON, 2, 0),
                           random_state(ParticleCase.BOSON, 3, 0))
+
+
+class TestOneDecompositionPerState:
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_classify_and_decide_call_budget(self, case, monkeypatch):
+        # one SVD per state canonicalized (a and its rotated copy), one
+        # eigvalsh per state whose spectrum is read (a, the copy, the partner)
+        raw = random_state(case, 5, 3).coeffs
+        g = random_local_unitary(case, 5, 4)
+        partner = random_state(case, 5, 5)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        a = validate(raw, case)
+        cf = canonicalize(a)
+        reduced_matrix(a)
+        orbit_invariants(cf)
+        eq = lu_equivalent(a, apply_group_action(a, g))
+        ne = lu_equivalent(a, partner)
+        assert eq.witness is not None and not ne.equivalent
+        assert calls == {"svd": 2, "eigvalsh": 3}
 
 
 class TestSameStratum:

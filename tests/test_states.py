@@ -21,8 +21,10 @@ from luorbits import (
     apply_algebra_action,
     apply_group_action,
     canonicalize,
+    enumerate_strata,
     random_local_unitary,
     random_state,
+    representative_state,
     state_from_dict,
     state_to_dict,
     validate,
@@ -73,6 +75,19 @@ class TestValidate:
         s = random_state(ParticleCase.BOSON, 3, 0)
         with pytest.raises(ValueError):
             s.coeffs[0, 0] = 1.0
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_every_state_maker_freezes_coeffs(self, case):
+        # stored canonical forms and moment images rely on this
+        base = random_state(case, 4, 2)
+        states = [
+            base,
+            validate(np.array(base.coeffs), case),
+            apply_group_action(base, random_local_unitary(case, 4, 3)),
+            representative_state(enumerate_strata(case, 4)[-1].d, case, seed=1),
+            state_from_dict(state_to_dict(base)),
+        ]
+        assert all(not s.coeffs.flags.writeable for s in states)
 
     def test_fortran_ordered_input(self):
         raw = np.asfortranarray(np.diag([1.0, 2.0, 3.0, 4.0]) + 0j)
