@@ -28,7 +28,6 @@ from .errors import (
     NonSquareInput,
     NotAntiHermitian,
     ParseError,
-    RankAmbiguityWarning,
     SymmetryViolation,
     UnsortedInput,
     ValidationError,
@@ -44,8 +43,6 @@ from .oracle import (
     algebra_basis,
     counterexample_demo,
     oracle_check,
-    orbit_dimension_numeric,
-    symplectic_rank_numeric,
     three_tangle,
 )
 from .states import (
@@ -91,7 +88,6 @@ __all__ = [
     "ParseError",
     "ParticleCase",
     "QuantumState",
-    "RankAmbiguityWarning",
     "SymmetryViolation",
     "UnsortedInput",
     "ValidationError",
@@ -109,7 +105,6 @@ __all__ = [
     "lu_equivalent",
     "multiplicity_vector",
     "oracle_check",
-    "orbit_dimension_numeric",
     "orbit_invariants",
     "polytope_membership",
     "random_local_unitary",
@@ -121,7 +116,6 @@ __all__ = [
     "state_from_dict",
     "state_to_dict",
     "svd_congruence",
-    "symplectic_rank_numeric",
     "takagi",
     "three_tangle",
     "validate",

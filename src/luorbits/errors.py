@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class LuorbitsError(Exception):
@@ -47,7 +47,3 @@ class InvalidStratum(ValidationError):
 
 class ConvergenceFailure(LuorbitsError):
     """A matrix decomposition failed to reach its residual tolerance."""
-
-
-class RankAmbiguityWarning(UserWarning):
-    """A singular value fell within a factor of ten of the rank threshold."""

@@ -10,13 +10,12 @@ stratum classification.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .canonical import canonicalize
-from .errors import RankAmbiguityWarning, ValidationError
+from .errors import ValidationError
 from .states import ParticleCase, QuantumState
 from .strata import DEFAULT_CLUSTER_TOL, orbit_invariants
 
@@ -106,36 +105,16 @@ def _orbit_rank(acted: np.ndarray, c: np.ndarray, rank_tol: float):
 
 
 def _symplectic_rank(acted: np.ndarray, rank_tol: float):
-    """(rank, ambiguous) of the two-form -Im <xi C, eta C> over the algebra basis."""
-    gram = acted.conj() @ acted.T
-    svals = np.linalg.svd(-gram.imag, compute_uv=False)
-    return _thresholded_rank(svals, rank_tol, scale_floor=gram.real.diagonal().max())
-
-
-def _warn_ambiguous(what: str) -> None:
-    warnings.warn(_AMBIGUOUS.format(what), RankAmbiguityWarning, stacklevel=3)
-
-
-def orbit_dimension_numeric(state: QuantumState, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Real rank of the projected fundamental vector fields at the state."""
-    rank, ambiguous = _orbit_rank(_acted_vectors(state), state.coeffs.ravel(), rank_tol)
-    if ambiguous:
-        _warn_ambiguous("orbit dimension")
-    return rank
-
-
-def symplectic_rank_numeric(state: QuantumState, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Rank of the projective two-form on the orbit through the state.
+    """(rank, ambiguous) of the two-form -Im <xi C, eta C> over the algebra basis.
 
     For anti-Hermitian representations <v, [xi, eta] v> = <xi v, eta v> - conj,
-    so the form over the algebra basis is the imaginary part of the Gram
+    so the projective two-form on the orbit is the imaginary part of the Gram
     matrix of the acted vectors; isotropy and phase directions land in its
     kernel automatically.
     """
-    rank, ambiguous = _symplectic_rank(_acted_vectors(state), rank_tol)
-    if ambiguous:
-        _warn_ambiguous("symplectic rank")
-    return rank
+    gram = acted.conj() @ acted.T
+    svals = np.linalg.svd(-gram.imag, compute_uv=False)
+    return _thresholded_rank(svals, rank_tol, scale_floor=gram.real.diagonal().max())
 
 
 def oracle_check(
@@ -145,7 +124,7 @@ def oracle_check(
 ) -> OracleReport:
     """Compare numeric orbit dimension and degeneracy with the formula values.
 
-    Rank ambiguities are reported in ``warnings`` rather than emitted.
+    Rank ambiguities are reported in ``warnings``.
     """
     acted = _acted_vectors(state)
     orbit_dim, orbit_ambiguous = _orbit_rank(acted, state.coeffs.ravel(), rank_tol)

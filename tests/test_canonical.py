@@ -25,6 +25,7 @@ from luorbits import (
     validate,
     youla_antisymmetric,
 )
+from luorbits import canonical as canonical_module
 from luorbits.cli import main
 from luorbits.states import haar_special_unitary, state_to_dict
 from conftest import ALL_CASES, assert_special_unitary, assert_unitary
@@ -169,6 +170,36 @@ class TestNearRankDeficient:
         np.testing.assert_allclose(lam, [1.0, small], atol=1e-12)
 
 
+class TestNearDegenerateTwins:
+    """The two largest lambdas a small relative gap apart: one clustering, an exact fit."""
+
+    @pytest.mark.parametrize("gap", [1e-7, 3e-6, 1e-5, 3e-5])
+    @pytest.mark.parametrize("case", [ParticleCase.BOSON, ParticleCase.FERMION])
+    def test_one_attempt_and_tight_residual(self, case, gap, monkeypatch):
+        calls = []
+        basis = canonical_module._congruence_basis
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return basis(*args, **kwargs)
+
+        monkeypatch.setattr(canonical_module, "_congruence_basis", counted)
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            w = haar_special_unitary(8, rng)
+            calls.clear()
+            if case is ParticleCase.BOSON:
+                c = (w * [1.0, 1.0 - gap, 0.8, 0.6, 0.45, 0.3, 0.2, 0.1]) @ w.T
+                u, lam = takagi(c)
+                core = np.diag(lam)
+            else:
+                c = w @ fermion_pair_matrix([1.0, 1.0 - gap, 0.6, 0.3], 8) @ w.T
+                u, lam = youla_antisymmetric(c)
+                core = fermion_pair_matrix(lam, 8)
+            assert len(calls) == 1
+            assert np.linalg.norm(c - u @ core @ u.T) <= 1e-12
+
+
 class TestLargeFermion:
     @pytest.mark.parametrize("n, seed", [(64, 223), (65, 1), (96, 2), (128, 3)])
     def test_canonicalize(self, n, seed):
@@ -183,7 +214,7 @@ class TestLargeFermion:
 
 
 class TestLapackFailure:
-    @pytest.mark.parametrize("case", [ParticleCase.BOSON, ParticleCase.FERMION])
+    @pytest.mark.parametrize("case", ALL_CASES)
     def test_svd_failure_is_a_convergence_failure(self, case, monkeypatch, tmp_path, capsys):
         s = random_state(case, 4, 0)
         path = tmp_path / "state.json"

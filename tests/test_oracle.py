@@ -1,23 +1,18 @@
 """Tests for the numerical orbit/symplectic oracle and the three-qubit demo."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 from luorbits import (
     ParticleCase,
-    RankAmbiguityWarning,
     algebra_basis,
     apply_algebra_action,
     apply_group_action,
     counterexample_demo,
     fermion_pair_matrix,
     oracle_check,
-    orbit_dimension_numeric,
     random_local_unitary,
     random_state,
-    symplectic_rank_numeric,
     three_tangle,
     validate,
 )
@@ -59,24 +54,24 @@ class TestActedVectors:
 
 class TestOrbitDimension:
     def test_lagrangian_boson_orbit(self):
-        s = validate(np.eye(2), BOSON)
-        assert orbit_dimension_numeric(s) == 2
-        assert symplectic_rank_numeric(s) == 0
+        report = oracle_check(validate(np.eye(2), BOSON))
+        assert report.orbit_dim_numeric == 2
+        assert report.symplectic_rank_numeric == 0
 
     def test_highest_weight_boson_orbit(self):
-        s = validate(np.diag([1.0, 0.0]), BOSON)
-        assert orbit_dimension_numeric(s) == 2
-        assert symplectic_rank_numeric(s) == 2
+        report = oracle_check(validate(np.diag([1.0, 0.0]), BOSON))
+        assert report.orbit_dim_numeric == 2
+        assert report.symplectic_rank_numeric == 2
 
     def test_bell(self):
-        s = validate(np.eye(2), DIST)
-        assert orbit_dimension_numeric(s) == 3
-        assert symplectic_rank_numeric(s) == 0
+        report = oracle_check(validate(np.eye(2), DIST))
+        assert report.orbit_dim_numeric == 3
+        assert report.symplectic_rank_numeric == 0
 
     def test_generic_fermion_four_levels(self):
-        s = validate(fermion_pair_matrix([0.8, 0.6], 4), FERMION)
-        assert orbit_dimension_numeric(s) == 9
-        assert symplectic_rank_numeric(s) == 8
+        report = oracle_check(validate(fermion_pair_matrix([0.8, 0.6], 4), FERMION))
+        assert report.orbit_dim_numeric == 9
+        assert report.symplectic_rank_numeric == 8
 
     def test_rank_is_even(self):
         rng = np.random.default_rng(0)
@@ -84,7 +79,7 @@ class TestOrbitDimension:
             for _ in range(5):
                 n = int(rng.integers(2, 6))
                 s = random_state(case, n, int(rng.integers(10**6)))
-                assert symplectic_rank_numeric(s) % 2 == 0
+                assert oracle_check(s).symplectic_rank_numeric % 2 == 0
 
     def test_degeneracy_nonnegative(self):
         rng = np.random.default_rng(1)
@@ -92,7 +87,8 @@ class TestOrbitDimension:
             for _ in range(5):
                 n = int(rng.integers(2, 7))
                 s = random_state(case, n, int(rng.integers(10**6)))
-                assert symplectic_rank_numeric(s) <= orbit_dimension_numeric(s)
+                report = oracle_check(s)
+                assert report.symplectic_rank_numeric <= report.orbit_dim_numeric
 
 
 class TestOracleCheck:
@@ -122,9 +118,9 @@ class TestOracleCheck:
             n = int(rng.integers(2, 6))
             s = random_state(case, n, int(rng.integers(10**6)))
             g = random_local_unitary(case, n, int(rng.integers(10**6)))
-            moved = apply_group_action(s, g)
-            assert orbit_dimension_numeric(s) == orbit_dimension_numeric(moved)
-            assert symplectic_rank_numeric(s) == symplectic_rank_numeric(moved)
+            report, moved = oracle_check(s), oracle_check(apply_group_action(s, g))
+            assert report.orbit_dim_numeric == moved.orbit_dim_numeric
+            assert report.symplectic_rank_numeric == moved.symplectic_rank_numeric
 
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_rank_stability_under_tolerance_change(self, case):
@@ -132,30 +128,20 @@ class TestOracleCheck:
         for _ in range(5):
             n = int(rng.integers(2, 6))
             s = random_state(case, n, int(rng.integers(10**6)))
-            assert orbit_dimension_numeric(s, 1e-9) == orbit_dimension_numeric(s, 1e-8)
-            assert symplectic_rank_numeric(s, 1e-9) == symplectic_rank_numeric(s, 1e-8)
+            fine, coarse = oracle_check(s, 1e-9), oracle_check(s, 1e-8)
+            assert fine.orbit_dim_numeric == coarse.orbit_dim_numeric
+            assert fine.symplectic_rank_numeric == coarse.symplectic_rank_numeric
 
     def test_ambiguous_rank_reported_not_raised(self):
         # a spectrum gap at the threshold scale lands singular values in the
         # ambiguity band; the computation must still return
         c = np.diag([1.0, 2e-9, 0.0])
         s = validate(c, DIST)
-        with pytest.warns(RankAmbiguityWarning):
-            orbit_dimension_numeric(s, rank_tol=1e-9)
         report = oracle_check(s, rank_tol=1e-9)
-        assert report.warnings
+        assert report.warnings == (
+            "orbit dimension: singular value within a factor of 10 of the rank threshold",
+        )
         assert not report.agree
-
-    def test_report_notes_are_the_wrapper_warnings(self):
-        s = validate(np.diag([1.0, 2e-9, 0.0]), DIST)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", RankAmbiguityWarning)
-            orbit_dimension_numeric(s, rank_tol=1e-9)
-            symplectic_rank_numeric(s, rank_tol=1e-9)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RankAmbiguityWarning)
-            report = oracle_check(s, rank_tol=1e-9)
-        assert report.warnings == tuple(str(item.message) for item in caught)
 
 
 class TestThreeTangle:
