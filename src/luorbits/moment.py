@@ -1,42 +1,51 @@
 """One-particle reduced matrices, moment spectra, and the probability polytope.
 
-The moment image of a state is materialized as the traceless Hermitian matrix
-rho - I/N, where rho = C C^dag / Tr(C^dag C) is the (left) one-particle
-reduced matrix.  All comparisons are spectrum-based, so the positive scale
-factor dropped from the anti-Hermitian convention never affects a decision.
+The moment image of a state is rho - I/N, with rho = C C^dag / Tr(C^dag C) the
+(left) one-particle reduced matrix.  Its spectrum p is the squared singular
+values of C over their sum, from one values-only SVD; rho is built on request.
+Comparisons are spectrum-based, so the positive scale factor dropped from the
+anti-Hermitian convention never affects a decision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConvergenceFailure
 from .states import ParticleCase, QuantumState
 
 
 @dataclass(frozen=True, eq=False)
 class MomentImage:
-    """Reduced matrix (pair for distinguishable) plus its translated spectrum."""
+    """Spectrum p of rho, descending, stored; the reduced matrices on access."""
 
     case: ParticleCase
     n_levels: int
-    rho_left: np.ndarray
-    rho_right: np.ndarray | None
-    q_spectrum: np.ndarray
+    probabilities: np.ndarray
+    _coeffs: np.ndarray = field(repr=False)  # the state's own read-only C
 
     @property
-    def probabilities(self) -> np.ndarray:
-        """Sorted-descending eigenvalues of rho_left (the p vector)."""
-        return self.q_spectrum + 1.0 / self.n_levels
+    def q_spectrum(self) -> np.ndarray:
+        """Spectrum of rho - I/N (p - 1/N), descending."""
+        return self.probabilities - 1.0 / self.n_levels
+
+    @property
+    def rho_left(self) -> np.ndarray:
+        return _gram(self._coeffs)
+
+    @property
+    def rho_right(self) -> np.ndarray | None:
+        return _gram(self._coeffs.T) if self.case is ParticleCase.DISTINGUISHABLE else None
 
 
-def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.conj().T) / 2.0
+def _gram(c: np.ndarray) -> np.ndarray:
+    return c @ c.conj().T / np.vdot(c, c).real
 
 
 def reduced_matrix(state: QuantumState) -> MomentImage:
-    """Compute the one-particle reduced matrix and its translated spectrum.
+    """Compute the moment spectrum of a state; rho is built on access.
 
     The image is computed once per state and stored on it; later calls return
     the same object.
@@ -48,19 +57,13 @@ def reduced_matrix(state: QuantumState) -> MomentImage:
 
 
 def _moment_image(state: QuantumState) -> MomentImage:
-    c = state.coeffs
-    n = state.n_levels
-    weight = np.real(np.vdot(c, c))
-    rho_left = _hermitize(c @ c.conj().T / weight)
-    rho_right = None
-    if state.case is ParticleCase.DISTINGUISHABLE:
-        rho_right = _hermitize(c.T @ c.conj() / weight)
-    p = np.sort(np.linalg.eigvalsh(rho_left))[::-1]
-    q = p - 1.0 / n
-    for arr in (rho_left, rho_right, q):
-        if arr is not None:
-            arr.setflags(write=False)
-    return MomentImage(state.case, n, rho_left, rho_right, q)
+    try:
+        s = np.linalg.svd(state.coeffs, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"moment svd: {exc}") from exc
+    p = s**2 / np.sum(s**2)
+    p.setflags(write=False)
+    return MomentImage(state.case, state.n_levels, p, state.coeffs)
 
 
 def polytope_membership(q, case: ParticleCase, tol: float = 1e-10) -> bool:

@@ -199,7 +199,7 @@ def single_site_spectra(tensor) -> np.ndarray:
     rows = []
     for site in range(3):
         m = np.moveaxis(t, site, 0).reshape(2, 4)
-        rows.append(np.sort(np.linalg.eigvalsh(m @ m.conj().T))[::-1])
+        rows.append(np.linalg.svd(m, compute_uv=False) ** 2)
     return np.array(rows)
 
 

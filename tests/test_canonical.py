@@ -216,6 +216,7 @@ class TestLargeFermion:
 class TestLapackFailure:
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_svd_failure_is_a_convergence_failure(self, case, monkeypatch, tmp_path, capsys):
+        # every SVD fails: the spectrum is read from an SVD too, so no verdict
         s = random_state(case, 4, 0)
         path = tmp_path / "state.json"
         path.write_text(json.dumps(state_to_dict(s)))
@@ -224,13 +225,29 @@ class TestLapackFailure:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
-        with pytest.raises(ConvergenceFailure):
-            canonicalize(s)
+        for step in (canonicalize, reduced_matrix, lambda x: lu_equivalent(x, x)):
+            with pytest.raises(ConvergenceFailure):
+                step(s)
+        assert main(["classify", str(path)]) == 4
+        assert "convergence failure" in capsys.readouterr().err
+        assert main(["compare", str(path), str(path)]) == 4
+        assert "convergence failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_witness_failure_keeps_the_verdict(self, case, monkeypatch):
+        # only the full SVDs of the canonical forms fail; the spectrum stands
+        s = random_state(case, 4, 0)
+        svd = np.linalg.svd
+
+        def values_only(*args, **kwargs):
+            if kwargs.get("compute_uv", True):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", values_only)
         verdict = lu_equivalent(s, s)
         assert verdict.equivalent and verdict.witness is None
         assert len(verdict.warnings) == 1 and verdict.warnings[0].startswith("witness failed")
-        assert main(["classify", str(path)]) == 4
-        assert "convergence failure" in capsys.readouterr().err
 
 
 class TestSvdCongruence:
@@ -321,7 +338,7 @@ class TestCanonicalize:
                 p = np.pad(p, (0, n - len(p)))
             else:
                 p = cf.lambdas**2
-            np.testing.assert_allclose(np.sort(p)[::-1] - 1.0 / n, q, atol=1e-9)
+            np.testing.assert_allclose(np.sort(p)[::-1] - 1.0 / n, q, atol=1e-14)
 
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_residuals_over_a_thousand_states(self, case):
@@ -344,10 +361,19 @@ class TestStoredForms:
         s = random_state(case, 5, 4)
         cf = canonicalize(s)
         image = reduced_matrix(s)
-        arrays = [cf.lambdas, cf.witness_u, image.rho_left, image.q_spectrum]
+        stored = [cf.lambdas, cf.witness_u, image.probabilities]
         if case is ParticleCase.DISTINGUISHABLE:
-            arrays += [cf.witness_v, image.rho_right]
-        assert all(not arr.flags.writeable for arr in arrays)
+            stored.append(cf.witness_v)
+        assert all(not arr.flags.writeable for arr in stored)
+        # the rest is built on each access, so writing into one copy is harmless
+        names = ["q_spectrum", "rho_left"]
+        if case is ParticleCase.DISTINGUISHABLE:
+            names.append("rho_right")
+        for name in names:
+            first = getattr(image, name)
+            before = first.copy()
+            first[...] = 7.0
+            np.testing.assert_array_equal(getattr(image, name), before)
 
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_distinct_states_do_not_share(self, case):

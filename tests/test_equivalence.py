@@ -86,8 +86,9 @@ class TestLuEquivalent:
 class TestOneDecompositionPerState:
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_classify_and_decide_call_budget(self, case, monkeypatch):
-        # one SVD per state canonicalized (a and its rotated copy), one
-        # eigvalsh per state whose spectrum is read (a, the copy, the partner)
+        # one full SVD per state canonicalized (a and its rotated copy), one
+        # values-only SVD per state whose spectrum is read (a, the copy, the
+        # partner), and no eigvalsh
         raw = random_state(case, 5, 3).coeffs
         g = random_local_unitary(case, 5, 4)
         partner = random_state(case, 5, 5)
@@ -99,7 +100,13 @@ class TestOneDecompositionPerState:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        svd = np.linalg.svd
+
+        def counted_svd(*args, **kwargs):
+            calls["svd" if kwargs.get("compute_uv", True) else "values-only svd"] += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         a = validate(raw, case)
         cf = canonicalize(a)
@@ -108,7 +115,7 @@ class TestOneDecompositionPerState:
         eq = lu_equivalent(a, apply_group_action(a, g))
         ne = lu_equivalent(a, partner)
         assert eq.witness is not None and not ne.equivalent
-        assert calls == {"svd": 2, "eigvalsh": 3}
+        assert calls == {"svd": 2, "values-only svd": 3}
 
 
 class TestSameStratum:

@@ -67,6 +67,26 @@ class TestReducedMatrix:
             np.testing.assert_allclose(left, right, atol=1e-12)
 
 
+class TestSmallProbabilities:
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_entry_of_1e_10_under_rotation(self, case):
+        # eigvalsh of the Gram C C^dag resolves p only to about eps; squared
+        # singular values keep p = 1e-10 to its own relative accuracy
+        lam = np.array([1.0, 1e-5, 1e-9])
+        if case is ParticleCase.FERMION:
+            base = validate(fermion_pair_matrix(lam, 6), case)
+            s = np.repeat(lam, 2)
+        else:
+            base = validate(np.diag(lam), case)
+            s = lam
+        p = s**2 / np.sum(s**2)
+        small = s == 1e-5
+        for seed in range(20):
+            g = random_local_unitary(case, base.n_levels, seed)
+            got = reduced_matrix(apply_group_action(base, g)).probabilities
+            np.testing.assert_allclose(got[small], p[small], rtol=1e-9, atol=0)
+
+
 class TestMomentEqual:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 6),
