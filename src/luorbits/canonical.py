@@ -8,7 +8,6 @@ unitary witnesses.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,34 +54,6 @@ def cluster_bounds(values, cluster_tol: float) -> list[int]:
     return [0, *cuts.tolist(), len(values)]
 
 
-def _symmetric_unitary_root(z: np.ndarray) -> np.ndarray:
-    """R with R R^t = z for a symmetric unitary z.
-
-    One Newton-Schulz step first puts z back on the unitary group, where
-    rounding in tiny clusters can leave it.  R is then a square root taken
-    eigenvalue by eigenvalue, so it is a function of z, symmetric and
-    unitary.  The branch cut sits in the widest gap between the eigenvalue
-    phases, which keeps (nearly) equal eigenvalues on one branch.  A 2 x 2 z,
-    the most frequent cluster, takes the closed form (z + s I) / sqrt(tr z + 2 s)
-    with s^2 = det z, the sign of s keeping the denominator away from zero.
-    """
-    m = len(z)
-    z = z @ (1.5 * np.eye(m) - 0.5 * (z.conj().T @ z))
-    if m == 2:
-        s = cmath.sqrt(z[0, 0] * z[1, 1] - z[0, 1] * z[1, 0])
-        tr = z[0, 0] + z[1, 1]
-        if abs(tr - 2.0 * s) > abs(tr + 2.0 * s):
-            s = -s
-        return (z + s * np.eye(2)) / cmath.sqrt(tr + 2.0 * s)
-    evals, vecs = np.linalg.eig(z)
-    theta = sorted(cmath.phase(e) for e in evals.tolist())
-    gaps = [b - a for a, b in zip(theta, theta[1:] + [theta[0] + 2.0 * cmath.pi])]
-    k = max(range(m), key=gaps.__getitem__)
-    turn = cmath.exp(1j * (cmath.pi - theta[k] - gaps[k] / 2.0))
-    roots = np.sqrt(evals * turn) / cmath.sqrt(turn)
-    return (vecs * roots) @ np.linalg.inv(vecs)
-
-
 def _pair_basis(z: np.ndarray) -> np.ndarray:
     """Unitary R with R J R^t = z for an antisymmetric unitary z, J = sum of J_2 blocks.
 
@@ -107,15 +78,37 @@ def _pair_basis(z: np.ndarray) -> np.ndarray:
     return r
 
 
+def _takagi_vectors(t: np.ndarray) -> np.ndarray:
+    """Unitary R with t = R diag(sigma) R^t, sigma descending, for a symmetric t.
+
+    In real coordinates x = a + ib, the map x -> t conj(x) with t = X + iY is
+    the real symmetric matrix [[X, Y], [Y, -X]].  Its eigenvalues come in
+    pairs +-sigma, (a, b) -> (-b, a) swapping the two, so the eigenvectors of
+    the positive half are orthonormal as complex vectors a + ib and are
+    Takagi vectors of t, whatever basis ``eigh`` picks inside an eigenspace.
+    """
+    m = len(t)
+    h = np.empty((2 * m, 2 * m))
+    h[:m, :m] = t.real
+    h[m:, m:] = -t.real
+    h[:m, m:] = h[m:, :m] = t.imag
+    vecs = np.linalg.eigh(h)[1][:, m:][:, ::-1]
+    return vecs[:m] + 1j * vecs[m:]
+
+
 def _congruence_basis(v, s, wh, sign: int, n_live: int) -> np.ndarray:
     """Unitary U with c = U core(s) U^t from the SVD c = V diag(s) W^dag.
 
-    On a cluster of equal singular values the coupling Z = W_blk^dag conj(V_blk)
-    is a sign-symmetric unitary, and U_blk = V_blk R with R R^t = Z (sign +1,
-    core diagonal) or R J R^t = Z (sign -1, core of J_2 blocks).  Singletons
-    and fermion pairs are fixed by a scalar phase; larger clusters by the
-    matrix root or the pairing.  Columns from ``n_live`` on hold values at
-    or below the snap to zero and are kept as they are.
+    On a cluster of singular values S the coupling Z = W_blk^dag conj(V_blk)
+    is a sign-symmetric unitary, and U_blk = V_blk R with R S R^t = S Z
+    (sign +1, core diagonal) or R J R^t = Z (sign -1, core of J_2 blocks).
+    Singletons and fermion pairs are fixed by a scalar phase; larger
+    clusters by the pairing, or by the Takagi vectors of (I + S / s_lo) Z
+    with s_lo = max S.  That shift puts the Takagi values in (1, 2], in the
+    order of s: those of Z are all 1, so its vectors need not follow s, and
+    those of S Z can be so small that eigh mixes +s with -s.  Columns from
+    ``n_live`` on hold values at or below the snap to zero and are kept as
+    they are.
     """
     u = v.copy()
     bounds = cluster_bounds(s[:n_live], CLUSTER_TOL)
@@ -136,8 +129,10 @@ def _congruence_basis(v, s, wh, sign: int, n_live: int) -> np.ndarray:
         if hi - lo == unit:
             continue
         z = wh[lo:hi] @ v[:, lo:hi].conj()
+        if sign > 0:
+            z += (s[lo:hi, None] / s[lo]) * z
         z = (z + sign * z.T) / 2.0
-        r = _symmetric_unitary_root(z) if sign > 0 else _pair_basis(z)
+        r = _takagi_vectors(z) if sign > 0 else _pair_basis(z)
         u[:, lo:hi] = v[:, lo:hi] @ r
     return u
 
@@ -150,8 +145,8 @@ def _congruence_form(c, sign: int):
     """
     label, kind = ("takagi", "symmetric") if sign > 0 else ("youla", "antisymmetric")
     c = np.asarray(c, dtype=complex)
-    if np.linalg.norm(c - sign * c.T) > SYMMETRY_PRE_TOL:
-        raise SymmetryViolation(f"matrix is not {kind} within 1e-10")
+    if np.linalg.norm(c - sign * c.T) > SYMMETRY_PRE_TOL * np.linalg.norm(c):
+        raise SymmetryViolation(f"matrix is not {kind} within {SYMMETRY_PRE_TOL:g} relative")
     c = (c + sign * c.T) / 2.0
     n = c.shape[0]
     try:

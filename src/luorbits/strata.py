@@ -112,6 +112,11 @@ def multiplicity_vector(
     with the forced zero of odd N merged into the final block).  Fermions
     require ``n_levels`` to fix the parity of N.
     """
+    return _multiplicity(values, case, cluster_tol, n_levels)[0]
+
+
+def _multiplicity(values, case: ParticleCase, cluster_tol: float, n_levels: int | None):
+    """``multiplicity_vector`` together with the boundary gap of ``_cluster``."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or len(values) == 0:
         raise UnsortedInput("expected a non-empty vector")
@@ -122,21 +127,21 @@ def multiplicity_vector(
     if values[0] <= 0.0:
         raise InvalidStratum("all-zero spectrum describes the zero state")
     if case is not ParticleCase.FERMION:
-        sizes, zero_last, _ = _cluster(values, cluster_tol)
-        return MultiplicityVector(tuple(sizes), zero_last)
+        sizes, zero_last, gap = _cluster(values, cluster_tol)
+        return MultiplicityVector(tuple(sizes), zero_last), gap
     if n_levels is None:
         raise ValidationError("fermion multiplicity needs n_levels")
     if len(values) != n_levels // 2:
         raise ValidationError(f"expected {n_levels // 2} lambdas for N={n_levels}")
-    sizes, zero_last, _ = _cluster(values, cluster_tol)
+    sizes, zero_last, gap = _cluster(values, cluster_tol)
     d = [2 * size for size in sizes]
     if n_levels % 2 == 1:
         if zero_last:
             d[-1] += 1
         else:
             d.append(1)
-        return MultiplicityVector(tuple(d), True)
-    return MultiplicityVector(tuple(d), zero_last)
+        return MultiplicityVector(tuple(d), True), gap
+    return MultiplicityVector(tuple(d), zero_last), gap
 
 
 def flag_dimension(mv: MultiplicityVector, case: ParticleCase) -> int:
@@ -182,8 +187,7 @@ def orbit_invariants(cf: CanonicalForm, cluster_tol: float = DEFAULT_CLUSTER_TOL
     else:
         p = cf.lambdas**2
         values = p / p.sum()
-    mv = multiplicity_vector(values, cf.case, cluster_tol, n_levels=cf.n_levels)
-    _, _, gap = _cluster(np.asarray(values, dtype=float), cluster_tol)
+    mv, gap = _multiplicity(values, cf.case, cluster_tol, cf.n_levels)
     return invariants_for(mv, cf.case, boundary_gap=gap)
 
 

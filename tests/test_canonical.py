@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from luorbits import (
@@ -99,6 +99,28 @@ class TestTakagi:
             assert np.linalg.norm(c - (u * lam) @ u.T) <= 1e-10
             np.testing.assert_allclose(lam, sorted(vals, reverse=True), atol=1e-10)
 
+    def test_one_eigh_per_cluster(self, monkeypatch):
+        w = haar_special_unitary(10, np.random.default_rng(5))
+        c = (w * [0.7, 0.7, 0.7, 0.5, 0.3, 0.3 - 1e-7, 0.1, 0.1, 0.1, 0.1]) @ w.T
+        calls = dict.fromkeys(["eigh", "eig", "inv"], 0)
+        for name in calls:
+            def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        u, lam = takagi(c)
+        assert calls == {"eigh": 3, "eig": 0, "inv": 0}  # clusters of 3, 2 and 4
+        assert np.linalg.norm(c - (u * lam) @ u.T) <= 1e-12
+
+    def test_fully_degenerate_large(self):
+        # both read about 2.5e-14 over 20 seeds, on one BLAS thread or two
+        w = haar_special_unitary(128, np.random.default_rng(0))
+        c = w @ w.T
+        u, lam = takagi(c)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(128)) <= 5e-14
+        assert np.linalg.norm(c - (u * lam) @ u.T) <= 5e-14
+
 
 class TestYoula:
     def test_single_block(self):
@@ -148,6 +170,68 @@ class TestYoula:
             np.testing.assert_allclose(lam, sorted(vals, reverse=True), atol=1e-10)
 
 
+@st.composite
+def clustered_spectra(draw):
+    """(sign, N, values, Haar seed): blocks of near-equal values, maybe a tiny tail.
+
+    The values are lambdas for sign -1, each a doubled singular value.
+    Inside a block, neighbours are a log-uniform relative gap of 1e-14 ..
+    1e-3 apart, and the next block starts 0.1 .. 0.9 times lower.  The tail
+    is zero or scaled by 1e-11.
+    """
+    sign = draw(st.sampled_from([1, -1]))
+    n = draw(st.integers(2, 12))
+    k = n if sign > 0 else n // 2
+    tail = draw(st.sampled_from([None, 0.0, 1e-11])) if k > 1 else None
+    head = k if tail is None else k - draw(st.integers(1, k - 1))
+    starts = draw(st.sets(st.integers(1, head - 1))) if head > 1 else set()
+    values = [1.0]
+    for j in range(1, head):
+        if j in starts:
+            values.append(values[-1] * draw(st.floats(0.1, 0.9)))
+        else:
+            values.append(values[-1] * (1.0 - 10.0 ** draw(st.floats(-14.0, -3.0))))
+    values += [tail * draw(st.floats(0.1, 1.0)) for _ in range(k - head)]
+    return sign, n, np.sort(values)[::-1], draw(st.integers(0, 2**32 - 1))
+
+
+class TestClusteredSpectra:
+    @settings(max_examples=60, deadline=None)
+    @given(spectrum=clustered_spectra())
+    @example(spectrum=(1, 4, np.array([1.0, 1e-11, 1e-12, 1e-12]), 0))
+    def test_unitary_within_the_residual_bar(self, spectrum):
+        sign, n, values, seed = spectrum
+        w = haar_special_unitary(n, np.random.default_rng(seed))
+        if sign > 0:
+            c = (w * values) @ w.T
+            u, lam = takagi(c)
+            core, bar = np.diag(lam), 1e-10 * max(1.0, lam[0])
+        else:
+            c = w @ fermion_pair_matrix(values, n) @ w.T
+            u, lam = youla_antisymmetric(c)
+            core = fermion_pair_matrix(lam, n)
+            bar = 1e-10 * max(1.0, np.sqrt(2.0) * np.linalg.norm(lam))
+        assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-12
+        assert np.linalg.norm(c - u @ core @ u.T) <= bar
+
+
+class TestCongruenceScale:
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e6, 1e8])
+    @pytest.mark.parametrize("case", [ParticleCase.BOSON, ParticleCase.FERMION])
+    def test_relative_symmetry_check_and_residual(self, case, scale):
+        w = haar_special_unitary(16, np.random.default_rng(0))
+        if case is ParticleCase.BOSON:
+            c = scale * ((w * np.linspace(1.0, 0.1, 16)) @ w.T)
+            u, lam = takagi(c)
+            core = np.diag(lam)
+        else:
+            c = scale * (w @ fermion_pair_matrix(np.linspace(1.0, 0.1, 8), 16) @ w.T)
+            u, lam = youla_antisymmetric(c)
+            core = fermion_pair_matrix(lam, 16)
+        assert_unitary(u)
+        assert np.linalg.norm(c - u @ core @ u.T) <= 1e-12 * np.linalg.norm(c)
+
+
 class TestNearRankDeficient:
     """A value just above the snap to zero, next to an exact zero, is still fixed."""
 
@@ -170,12 +254,41 @@ class TestNearRankDeficient:
         np.testing.assert_allclose(lam, [1.0, small], atol=1e-12)
 
 
+def boson_cluster(size, gap):
+    """N = 8 boson spectrum whose largest ``size`` values are ``gap`` apart."""
+    return np.concatenate([1.0 - gap * np.arange(size), [0.8, 0.6, 0.45, 0.3, 0.2, 0.1][size - 2:]])
+
+
 class TestNearDegenerateTwins:
-    """The two largest lambdas a small relative gap apart: one clustering, an exact fit."""
+    """The largest lambdas a small relative gap apart: one clustering, an exact fit."""
 
     @pytest.mark.parametrize("gap", [1e-7, 3e-6, 1e-5, 3e-5])
     @pytest.mark.parametrize("case", [ParticleCase.BOSON, ParticleCase.FERMION])
     def test_one_attempt_and_tight_residual(self, case, gap, monkeypatch):
+        if case is ParticleCase.BOSON:
+            values = boson_cluster(2, gap)
+        else:
+            values = [1.0, 1.0 - gap, 0.6, 0.3]
+        self.check_one_attempt(case, values, monkeypatch)
+
+    @pytest.mark.parametrize("gap", [1e-7, 3e-6, 1e-5, 3e-5])
+    @pytest.mark.parametrize("size", [3, 6])
+    def test_larger_boson_cluster(self, size, gap, monkeypatch):
+        self.check_one_attempt(ParticleCase.BOSON, boson_cluster(size, gap), monkeypatch)
+
+    def test_wide_range_tail_cluster(self):
+        # one cluster spanning 8e-5 .. 1.6e-12: its +-s must not mix in the root
+        s = [1.0, 0.5, 8e-5, 6e-5, 1e-6, 2e-10, 8e-12, 2e-12, 1.6e-12]
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            w = haar_special_unitary(9, rng)
+            c = (w * s) @ w.T
+            u, lam = takagi(c)
+            assert np.linalg.norm(u.conj().T @ u - np.eye(9)) <= 1e-13
+            assert np.linalg.norm(c - (u * lam) @ u.T) <= 1e-12
+
+    @staticmethod
+    def check_one_attempt(case, values, monkeypatch):
         calls = []
         basis = canonical_module._congruence_basis
 
@@ -189,11 +302,11 @@ class TestNearDegenerateTwins:
             w = haar_special_unitary(8, rng)
             calls.clear()
             if case is ParticleCase.BOSON:
-                c = (w * [1.0, 1.0 - gap, 0.8, 0.6, 0.45, 0.3, 0.2, 0.1]) @ w.T
+                c = (w * values) @ w.T
                 u, lam = takagi(c)
                 core = np.diag(lam)
             else:
-                c = w @ fermion_pair_matrix([1.0, 1.0 - gap, 0.6, 0.3], 8) @ w.T
+                c = w @ fermion_pair_matrix(values, 8) @ w.T
                 u, lam = youla_antisymmetric(c)
                 core = fermion_pair_matrix(lam, 8)
             assert len(calls) == 1
@@ -248,6 +361,21 @@ class TestLapackFailure:
         verdict = lu_equivalent(s, s)
         assert verdict.equivalent and verdict.witness is None
         assert len(verdict.warnings) == 1 and verdict.warnings[0].startswith("witness failed")
+
+
+    def test_eigh_failure_is_a_convergence_failure(self, monkeypatch):
+        # the root of a boson cluster is one eigh; a failed one is a convergence failure
+        w = haar_special_unitary(4, np.random.default_rng(0))
+        c = (w * [0.6, 0.6, 0.5, 0.2]) @ w.T
+        s = validate(c, ParticleCase.BOSON)
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        for step in (lambda: takagi(c), lambda: canonicalize(s)):
+            with pytest.raises(ConvergenceFailure):
+                step()
 
 
 class TestSvdCongruence:
