@@ -16,7 +16,7 @@ import numpy as np
 from .canonical import canonicalize
 from .errors import CaseMismatch, ConvergenceFailure, DimensionMismatch
 from .moment import reduced_matrix
-from .states import LocalUnitary, ParticleCase, QuantumState, apply_group_action
+from .states import LocalUnitary, ParticleCase, QuantumState, apply_group_action, check_tolerance
 from .strata import orbit_invariants
 
 DEFAULT_SPECTRUM_TOL = 1e-8
@@ -67,6 +67,7 @@ def lu_equivalent(
     appends a warning, never flips the decision.
     """
     _check_pair(a, b)
+    check_tolerance("tol", tol)
     qa = reduced_matrix(a).q_spectrum
     qb = reduced_matrix(b).q_spectrum
     distance = float(np.max(np.abs(qa - qb)))

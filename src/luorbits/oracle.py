@@ -6,6 +6,15 @@ dimension, and the rank of the symplectic Gram form gives the rank of the
 projective-space two-form restricted to the orbit.  No closed-form dimension
 formula enters, so these routines serve as an independent check of the
 stratum classification.
+
+Boson and fermion tangents live in Sym(N) or Alt(N), so they are stored by
+their upper triangle with off-diagonal entries weighted by sqrt(2).  Entries
+(r, k) and (k, r) agree up to sign, so sqrt(2) times one of them carries the
+pair's share of every inner product: packing is an isometry, and projections,
+singular values and Gram matrices are those of the full N x N coordinates.
+Distinguishable tangents come in two groups, xi (x) 1 and 1 (x) eta.  The two
+commute, and Im <A v, B v> is proportional to <v, [A, B] v>, so the two-form
+between the groups vanishes and the Gram splits into one block per group.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import numpy as np
 
 from .canonical import canonicalize
 from .errors import ValidationError
-from .states import ParticleCase, QuantumState
+from .states import ParticleCase, QuantumState, check_tolerance
 from .strata import DEFAULT_CLUSTER_TOL, orbit_invariants
 
 DEFAULT_RANK_TOL = 1e-9
@@ -63,9 +72,11 @@ def algebra_basis(case: ParticleCase, n: int) -> list:
     return [(xi, zero) for xi in single] + [(zero, xi) for xi in single]
 
 
-def _acted_vectors(state: QuantumState) -> np.ndarray:
-    """Stack of rho(xi_a) C over the algebra basis, flattened, one row each.
+def _acted_vectors(state: QuantumState):
+    """rho(xi_a) C over the su(N) basis, shaped (groups, N^2-1, dim), and C in the same coordinates.
 
+    Bosons and fermions form one group, packed to the upper triangle of
+    Sym(N) or Alt(N); distinguishable particles form two, one per tensor leg.
     C is exactly (anti)symmetric after validation, so C xi^t = sign (xi C)^t
     and the congruence action needs only the one product xi C.
     """
@@ -75,9 +86,14 @@ def _acted_vectors(state: QuantumState) -> np.ndarray:
     sign = state.case.symmetry_sign
     if sign is None:
         acted = np.concatenate([left, c @ basis.transpose(0, 2, 1)])
-    else:
-        acted = left + sign * left.transpose(0, 2, 1)
-    return acted.reshape(len(acted), -1)
+        return acted.reshape(2, len(basis), -1), c.ravel()
+    # a boolean mask picks the upper triangle in row-major order, like
+    # np.triu_indices, and gathers faster than index arrays do
+    idx = np.arange(state.n_levels)
+    upper = idx - idx[:, None] >= (0 if sign == 1 else 1)
+    weight = np.where(idx == idx[:, None], 1.0, np.sqrt(2.0))[upper]
+    acted = (left[:, upper] + sign * left.transpose(0, 2, 1)[:, upper]) * weight
+    return acted[np.newaxis], c[upper] * weight
 
 
 def _thresholded_rank(svals: np.ndarray, rank_tol: float, scale_floor: float = 0.0):
@@ -87,7 +103,7 @@ def _thresholded_rank(svals: np.ndarray, rank_tol: float, scale_floor: float = 0
     whole orbit leaves only noise-level singular values, which must not be
     measured against their own maximum.
     """
-    smax = max(svals[0] if len(svals) else 0.0, scale_floor)
+    smax = max(svals.max(initial=0.0), scale_floor)
     if smax == 0.0:
         return 0, False
     threshold = rank_tol * smax
@@ -97,8 +113,12 @@ def _thresholded_rank(svals: np.ndarray, rank_tol: float, scale_floor: float = 0
 
 
 def _orbit_rank(acted: np.ndarray, c: np.ndarray, rank_tol: float):
-    """(rank, ambiguous) of the acted vectors projected off the flattened state c."""
-    tangents = acted - np.outer(acted @ c.conj(), c)
+    """(rank, ambiguous) of all acted vectors together, projected off the state c.
+
+    The groups' tangent spaces overlap, so their rows go into one SVD.
+    """
+    rows = acted.reshape(-1, acted.shape[-1])
+    tangents = rows - np.outer(rows @ c.conj(), c)
     real_rows = np.hstack([tangents.real, tangents.imag])
     svals = np.linalg.svd(real_rows, compute_uv=False)
     return _thresholded_rank(svals, rank_tol)
@@ -110,11 +130,15 @@ def _symplectic_rank(acted: np.ndarray, rank_tol: float):
     For anti-Hermitian representations <v, [xi, eta] v> = <xi v, eta v> - conj,
     so the projective two-form on the orbit is the imaginary part of the Gram
     matrix of the acted vectors; isotropy and phase directions land in its
-    kernel automatically.
+    kernel automatically.  Elements of different groups commute, so
+    [xi, eta] = 0 makes their block of the two-form zero; only the per-group
+    blocks are formed, all in one batched SVD.  The scale floor is the largest squared tangent
+    norm over all groups.
     """
-    gram = acted.conj() @ acted.T
+    gram = acted.conj() @ acted.transpose(0, 2, 1)
     svals = np.linalg.svd(-gram.imag, compute_uv=False)
-    return _thresholded_rank(svals, rank_tol, scale_floor=gram.real.diagonal().max())
+    floor = gram.real.diagonal(axis1=1, axis2=2).max()
+    return _thresholded_rank(svals, rank_tol, scale_floor=floor)
 
 
 def oracle_check(
@@ -126,13 +150,14 @@ def oracle_check(
 
     Rank ambiguities are reported in ``warnings``.
     """
-    acted = _acted_vectors(state)
-    orbit_dim, orbit_ambiguous = _orbit_rank(acted, state.coeffs.ravel(), rank_tol)
+    check_tolerance("rank_tol", rank_tol, positive=True, below=1.0)
+    inv = orbit_invariants(canonicalize(state), cluster_tol)
+    acted, c = _acted_vectors(state)
+    orbit_dim, orbit_ambiguous = _orbit_rank(acted, c, rank_tol)
     rank, rank_ambiguous = _symplectic_rank(acted, rank_tol)
     flags = {"orbit dimension": orbit_ambiguous, "symplectic rank": rank_ambiguous}
     notes = tuple(_AMBIGUOUS.format(what) for what, ambiguous in flags.items() if ambiguous)
     degeneracy = orbit_dim - rank
-    inv = orbit_invariants(canonicalize(state), cluster_tol)
     agree = (
         not notes
         and orbit_dim == inv.orbit_dim

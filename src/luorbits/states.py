@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,12 +92,23 @@ def _make_state(case: ParticleCase, coeffs: np.ndarray) -> QuantumState:
     return QuantumState(case, coeffs.shape[0], _freeze(coeffs))
 
 
+def check_tolerance(name: str, tol, *, positive: bool = False, below: float = math.inf) -> None:
+    """Raise ValidationError unless ``tol`` lies in [0, below), or in (0, below) if ``positive``.
+
+    NaN, infinity and anything that is not a number are rejected.
+    """
+    if not isinstance(tol, numbers.Real) or not 0.0 <= tol < below or (positive and tol == 0.0):
+        bounds = f"{'(' if positive else '['}0, {below:g})"
+        raise ValidationError(f"{name} must be a finite number in {bounds}, got {tol!r}")
+
+
 def validate(raw, case: ParticleCase, tol: float = DEFAULT_SYMMETRY_TOL) -> QuantumState:
     """Check, (anti)symmetrize and normalize a raw coefficient matrix.
 
     Symmetry defects up to ``tol`` (relative to the Frobenius norm) are
     repaired silently; larger defects raise SymmetryViolation.
     """
+    check_tolerance("tol", tol)
     try:
         arr = np.array(raw, dtype=complex, order="C")
     except (ValueError, TypeError) as exc:
@@ -190,7 +202,7 @@ def random_state(case: ParticleCase, n: int, seed: int) -> QuantumState:
     sign = case.symmetry_sign
     if sign is not None:
         arr = (arr + sign * arr.T) / 2.0
-    return validate(arr, case, tol=np.inf if sign is None else 1.0)
+    return validate(arr, case, tol=1.0)
 
 
 def haar_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -16,7 +16,14 @@ import numpy as np
 
 from .canonical import CanonicalForm, canonicalize, cluster_bounds, fermion_pair_matrix
 from .errors import InvalidStratum, UnsortedInput, ValidationError
-from .states import ParticleCase, QuantumState, apply_group_action, random_local_unitary, validate
+from .states import (
+    ParticleCase,
+    QuantumState,
+    apply_group_action,
+    check_tolerance,
+    random_local_unitary,
+    validate,
+)
 
 DEFAULT_CLUSTER_TOL = 1e-8
 
@@ -117,6 +124,7 @@ def multiplicity_vector(
 
 def _multiplicity(values, case: ParticleCase, cluster_tol: float, n_levels: int | None):
     """``multiplicity_vector`` together with the boundary gap of ``_cluster``."""
+    check_tolerance("cluster_tol", cluster_tol, positive=True)
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or len(values) == 0:
         raise UnsortedInput("expected a non-empty vector")

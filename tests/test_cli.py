@@ -110,6 +110,30 @@ class TestToleranceFlag:
         assert codes == [3, 3, 3]
         assert run_cli(capsys, "classify", str(path), "--tol", "1e-8")[0] == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "{asym}", "--tol", "nan"],
+        ["classify", "{state}", "--tol=-1e-9"],
+        ["classify", "{state}", "--cluster-tol", "0"],
+        ["compare", "{state}", "{state}", "--tol", "-1"],
+        ["oracle", "{state}", "--rank-tol", "0"],
+        ["oracle", "{state}", "--rank-tol", "nan"],
+        ["oracle", "{state}", "--cluster-tol", "inf"],
+        ["strata", "--case", "dist", "--n", "2", "--verify", "--rank-tol", "1"],
+    ])
+    def test_bad_tolerance_exits_3(self, tmp_path, capsys, argv):
+        asym = tmp_path / "asym.json"
+        asym.write_text(json.dumps({"case": "boson", "n": 2, "matrix": [
+            [[1.0, 0.0], [5.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}))
+        state = tmp_path / "d.json"
+        state.write_text(json.dumps({"case": "dist", "n": 3, "matrix": [
+            [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]]}))
+        argv = [arg.format(asym=asym, state=state) for arg in argv]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "validation error" in err and "must be a finite number" in err
+
     def test_defaults(self):
         from luorbits.cli import build_parser
         from luorbits.equivalence import DEFAULT_SPECTRUM_TOL

@@ -18,6 +18,7 @@ from luorbits import (
     random_state,
     reduced_matrix,
     same_stratum,
+    ValidationError,
     validate,
 )
 from conftest import ALL_CASES
@@ -71,6 +72,16 @@ class TestLuEquivalent:
         verdict = lu_equivalent(a4, e12)
         assert not verdict.equivalent
         assert verdict.spectral_distance == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        s = random_state(ParticleCase.BOSON, 3, 0)
+        with pytest.raises(ValidationError, match="tol must be"):
+            lu_equivalent(s, s, tol)
+
+    def test_zero_tolerance_accepts_the_state_itself(self):
+        s = random_state(ParticleCase.DISTINGUISHABLE, 3, 0)
+        assert lu_equivalent(s, s, 0.0).equivalent
 
     def test_case_mismatch(self):
         with pytest.raises(CaseMismatch):

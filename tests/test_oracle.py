@@ -5,14 +5,17 @@ import pytest
 
 from luorbits import (
     ParticleCase,
+    ValidationError,
     algebra_basis,
     apply_algebra_action,
     apply_group_action,
     counterexample_demo,
+    enumerate_strata,
     fermion_pair_matrix,
     oracle_check,
     random_local_unitary,
     random_state,
+    representative_state,
     three_tangle,
     validate,
 )
@@ -41,15 +44,122 @@ class TestAlgebraBasis:
         assert np.linalg.matrix_rank(stacked) == 8
 
 
+def pack(matrices, case):
+    """Upper triangle of Sym(N) / Alt(N) matrices, off-diagonal entries times sqrt(2)."""
+    rows, cols = np.triu_indices(matrices.shape[-1], 0 if case is BOSON else 1)
+    return matrices[..., rows, cols] * np.where(rows == cols, 1.0, np.sqrt(2.0))
+
+
+def full_acted(s):
+    """Acted vectors in full N x N coordinates, one row per basis element, groups concatenated."""
+    basis = algebra_basis(s.case, s.n_levels)
+    return np.array([apply_algebra_action(s, xi).ravel() for xi in basis])
+
+
+def sample_states(case):
+    """Random states at N = 2..6 (odd-N fermions included) and one rank-deficient state."""
+    c = fermion_pair_matrix([1.0], 5) if case is FERMION else np.diag([0.8, 0.6, 0.0, 0.0])
+    rank_deficient = apply_group_action(validate(c, case), random_local_unitary(case, len(c), 4))
+    return [random_state(case, n, 40 + n) for n in range(2, 7)] + [rank_deficient]
+
+
 class TestActedVectors:
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_matches_the_per_element_algebra_action(self, case):
-        c = fermion_pair_matrix([1.0], 5) if case is FERMION else np.diag([0.8, 0.6, 0.0, 0.0])
-        rank_deficient = apply_group_action(validate(c, case), random_local_unitary(case, len(c), 4))
-        for s in [random_state(case, n, 40 + n) for n in range(2, 6)] + [rank_deficient]:
-            reference = np.array([apply_algebra_action(s, xi).ravel()
-                                  for xi in algebra_basis(case, s.n_levels)])
-            assert np.max(np.abs(_acted_vectors(s) - reference)) <= 1e-14 * np.linalg.norm(s.coeffs)
+        for s in sample_states(case):
+            n = s.n_levels
+            per_element = np.array([apply_algebra_action(s, xi) for xi in algebra_basis(case, n)])
+            if case is DIST:
+                reference, c = per_element.reshape(2, n * n - 1, n * n), s.coeffs.ravel()
+            else:
+                reference, c = pack(per_element, case)[np.newaxis], pack(s.coeffs, case)
+            acted, packed_c = _acted_vectors(s)
+            assert acted.shape == reference.shape
+            assert np.max(np.abs(acted - reference)) <= 1e-14 * np.linalg.norm(s.coeffs)
+            assert np.max(np.abs(packed_c - c)) <= 1e-15
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_gram_and_projection_match_full_coordinates(self, case):
+        for s in sample_states(case):
+            full = full_acted(s)
+            acted, c = _acted_vectors(s)
+            scale = np.linalg.norm(s.coeffs) ** 2
+            m, full_gram = acted.shape[1], full.conj() @ full.T
+            for i, group in enumerate(acted):
+                block = full_gram[i * m:(i + 1) * m, i * m:(i + 1) * m]
+                assert np.max(np.abs(group.conj() @ group.T - block)) <= 1e-14 * scale
+            projection = acted.reshape(-1, acted.shape[-1]) @ c.conj()
+            assert np.max(np.abs(projection - full @ s.coeffs.ravel().conj())) <= 1e-14 * scale
+
+    def test_cross_block_of_the_two_form_vanishes(self):
+        for s in sample_states(DIST):
+            (left, right), _ = _acted_vectors(s)
+            cross = left.conj() @ right.T
+            assert np.max(np.abs(cross.imag)) <= 1e-14 * np.linalg.norm(s.coeffs) ** 2
+
+
+def reference_ranks(s, rank_tol=1e-9):
+    """Full-coordinate ranks with one symplectic Gram over all generators.
+
+    Returns (orbit rank, symplectic rank, orbit ambiguous, symplectic ambiguous).
+    """
+    def thresholded(svals, scale_floor=0.0):
+        smax = max(svals[0], scale_floor)
+        if smax == 0.0:
+            return 0, False
+        threshold = rank_tol * smax
+        ambiguous = np.any((svals >= threshold / 10) & (svals <= threshold * 10))
+        return int(np.count_nonzero(svals > threshold)), bool(ambiguous)
+
+    acted, c = full_acted(s), s.coeffs.ravel()
+    tangents = acted - np.outer(acted @ c.conj(), c)
+    orbit = thresholded(np.linalg.svd(np.hstack([tangents.real, tangents.imag]), compute_uv=False))
+    gram = acted.conj() @ acted.T
+    rank = thresholded(np.linalg.svd(-gram.imag, compute_uv=False), gram.real.diagonal().max())
+    return orbit[0], rank[0], orbit[1], rank[1]
+
+
+def reference_cases():
+    seed = 0
+    for case in ALL_CASES:
+        for n in range(2, 7):
+            for inv in enumerate_strata(case, n):
+                seed += 1
+                yield representative_state(inv.d, case, seed=seed)
+        for n in (12, 16):
+            yield random_state(case, n, n)
+    yield validate(np.diag([1.0, 2e-9, 0.0]), DIST)
+
+
+class TestAgainstFullCoordinateReference:
+    def test_ranks_and_flags_match(self):
+        for s in reference_cases():
+            report = oracle_check(s)
+            orbit, rank, orbit_ambiguous, rank_ambiguous = reference_ranks(s)
+            flags = {"orbit dimension": orbit_ambiguous, "symplectic rank": rank_ambiguous}
+            notes = tuple(f"{what}: singular value within a factor of 10 of the rank threshold"
+                          for what, ambiguous in flags.items() if ambiguous)
+            assert (report.orbit_dim_numeric, report.symplectic_rank_numeric) == (orbit, rank)
+            assert report.warnings == notes
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_three_svds_with_one_batched_symplectic_call(self, case, monkeypatch):
+        # one for the canonical form, one for the orbit rank, one for all
+        # Gram blocks together
+        n = 4
+        s = random_state(case, n, 5)
+        shapes = []
+        svd = np.linalg.svd
+
+        def recorded_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+        oracle_check(s)
+        assert len(shapes) == 3
+        groups = 2 if case is DIST else 1
+        assert shapes[-1] == (groups, n * n - 1, n * n - 1)
 
 
 class TestOrbitDimension:
@@ -131,6 +241,18 @@ class TestOracleCheck:
             fine, coarse = oracle_check(s, 1e-9), oracle_check(s, 1e-8)
             assert fine.orbit_dim_numeric == coarse.orbit_dim_numeric
             assert fine.symplectic_rank_numeric == coarse.symplectic_rank_numeric
+
+    @pytest.mark.parametrize("rank_tol", [0.0, -1e-9, 1.0, 2.0, np.nan, np.inf])
+    def test_bad_rank_tolerance_rejected(self, rank_tol):
+        # rank_tol = 0 used to report an odd symplectic rank, NaN ranks of 0
+        s = validate(np.diag([1.0, 1.0, 0.5]), DIST)
+        with pytest.raises(ValidationError, match="rank_tol must be"):
+            oracle_check(s, rank_tol=rank_tol)
+
+    @pytest.mark.parametrize("cluster_tol", [0.0, np.nan])
+    def test_bad_cluster_tolerance_rejected(self, cluster_tol):
+        with pytest.raises(ValidationError, match="cluster_tol must be"):
+            oracle_check(random_state(BOSON, 3, 0), cluster_tol=cluster_tol)
 
     def test_ambiguous_rank_reported_not_raised(self):
         # a spectrum gap at the threshold scale lands singular values in the

@@ -67,6 +67,17 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate([[np.nan, 0], [0, 1]], ParticleCase.BOSON)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9, "loose"])
+    def test_bad_tolerance_rejected(self, tol):
+        # a NaN tolerance used to pass this skewed matrix off as a boson
+        with pytest.raises(ValidationError, match="tol must be"):
+            validate([[1, 5], [0, 1]], ParticleCase.BOSON, tol=tol)
+
+    def test_zero_tolerance_accepts_exact_symmetry(self):
+        assert validate([[1, 5], [5, 1]], ParticleCase.BOSON, tol=0.0).n_levels == 2
+        with pytest.raises(SymmetryViolation):
+            validate([[1, 5], [5 + 1e-12, 1]], ParticleCase.BOSON, tol=0.0)
+
     def test_one_by_one_rejected(self):
         with pytest.raises(ValidationError):
             validate([[1.0]], ParticleCase.BOSON)

@@ -8,6 +8,7 @@ from luorbits import (
     MultiplicityVector,
     ParticleCase,
     UnsortedInput,
+    ValidationError,
     canonicalize,
     enumerate_strata,
     fiber_structure,
@@ -151,6 +152,14 @@ class TestOrbitInvariants:
             inv = orbit_invariants(canonicalize(validate(np.diag(np.sqrt(p)), BOSON)))
             assert inv.d == MultiplicityVector((1,) * n, False)
             assert inv.degeneracy_D == n - 1
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf])
+    def test_bad_cluster_tolerance_rejected(self, tol):
+        cf = canonicalize(validate(np.diag([0.8, 0.6]), BOSON))
+        with pytest.raises(ValidationError, match="cluster_tol must be"):
+            orbit_invariants(cf, tol)
+        with pytest.raises(ValidationError, match="cluster_tol must be"):
+            multiplicity_vector([0.5, 0.5], BOSON, cluster_tol=tol)
 
     def test_boundary_gap_reported(self):
         s = validate(np.diag([np.sqrt(0.7), np.sqrt(0.3)]), BOSON)
