@@ -40,7 +40,6 @@ from .moment import (
 )
 from .oracle import (
     OracleReport,
-    algebra_basis,
     counterexample_demo,
     oracle_check,
     three_tangle,
@@ -92,7 +91,6 @@ __all__ = [
     "UnsortedInput",
     "ValidationError",
     "ZeroState",
-    "algebra_basis",
     "apply_algebra_action",
     "apply_group_action",
     "canonical_matrix",

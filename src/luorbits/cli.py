@@ -14,6 +14,7 @@ from .oracle import DEFAULT_RANK_TOL, counterexample_demo, oracle_check, oracle_
 from .states import (
     DEFAULT_SYMMETRY_TOL,
     ParticleCase,
+    check_tolerance,
     random_state,
     state_from_dict,
     state_to_dict,
@@ -69,11 +70,8 @@ def _load_state(path: str, tol: float = DEFAULT_SYMMETRY_TOL):
 
 def _fiber_label(inv) -> str:
     names = {"torus": "T", "sym_so": "SU/SO", "sym_usp": "SU/USp", "group_su": "SU"}
-    parts = []
-    for f in inv.fiber_factors:
-        label = f"T{f.m}" if f.kind == "torus" else f"{names[f.kind]}({f.m})"
-        parts.append(label)
-    return " x ".join(parts)
+    return " x ".join(
+        f"T{f.m}" if f.kind == "torus" else f"{names[f.kind]}({f.m})" for f in inv.fiber_factors)
 
 
 def _cmd_classify(args) -> int:
@@ -129,6 +127,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_strata(args) -> int:
     case = ParticleCase.from_label(args.case)
+    check_tolerance("cluster_tol", args.cluster_tol, positive=True)
+    check_tolerance("rank_tol", args.rank_tol, positive=True, below=1.0)
     strata = enumerate_strata(case, args.n)
     rows = []
     for index, inv in enumerate(strata):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .states import ParticleCase, QuantumState
+from .states import ParticleCase, QuantumState, check_tolerance
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +72,7 @@ def polytope_membership(q, case: ParticleCase, tol: float = 1e-10) -> bool:
     For fermions the sorted probabilities must additionally pair up
     (doubled singular values), with a forced zero entry when N is odd.
     """
+    check_tolerance("tol", tol)
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
     p = q + 1.0 / n
@@ -79,10 +80,8 @@ def polytope_membership(q, case: ParticleCase, tol: float = 1e-10) -> bool:
         return False
     if case is ParticleCase.FERMION:
         p = np.sort(p)[::-1]
-        for j in range(n // 2):
-            if abs(p[2 * j] - p[2 * j + 1]) > tol:
-                return False
-        if n % 2 == 1 and p[-1] > tol:
+        pairs = 2 * (n // 2)
+        if np.any(np.abs(p[:pairs:2] - p[1:pairs:2]) > tol) or (n % 2 == 1 and p[-1] > tol):
             return False
     return True
 

@@ -19,13 +19,14 @@ between the groups vanishes and the Gram splits into one block per group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .canonical import canonicalize
 from .errors import ValidationError
-from .states import ParticleCase, QuantumState, check_tolerance
+from .moment import reduced_matrix
+from .states import QuantumState, check_tolerance
 from .strata import DEFAULT_CLUSTER_TOL, orbit_invariants
 
 DEFAULT_RANK_TOL = 1e-9
@@ -46,8 +47,12 @@ class OracleReport:
     warnings: tuple[str, ...] = field(default=())
 
 
+@lru_cache(maxsize=16)
 def su_basis(n: int) -> np.ndarray:
-    """Real basis of su(N), stacked (N^2-1, N, N): i-diagonals, then (re, im) off-diagonal pairs."""
+    """Real basis of su(N), stacked (N^2-1, N, N): i-diagonals, then (re, im) off-diagonal pairs.
+
+    Built once per N and shared, so the array is read-only.
+    """
     basis = np.zeros((n * n - 1, n, n), dtype=complex)
     k = np.arange(n - 1)
     basis[k, k, k] = 1j
@@ -58,18 +63,8 @@ def su_basis(n: int) -> np.ndarray:
     basis[re, cols, rows] = -1.0
     basis[re + 1, rows, cols] = 1j
     basis[re + 1, cols, rows] = 1j
+    basis.setflags(write=False)
     return basis
-
-
-def algebra_basis(case: ParticleCase, n: int) -> list:
-    """Basis of the local algebra: su(N), or two copies for distinguishable."""
-    if n < 2:
-        raise ValidationError("n must be at least 2")
-    single = list(su_basis(n))
-    if case is not ParticleCase.DISTINGUISHABLE:
-        return single
-    zero = np.zeros((n, n), dtype=complex)
-    return [(xi, zero) for xi in single] + [(zero, xi) for xi in single]
 
 
 def _acted_vectors(state: QuantumState):
@@ -119,8 +114,8 @@ def _orbit_rank(acted: np.ndarray, c: np.ndarray, rank_tol: float):
     """
     rows = acted.reshape(-1, acted.shape[-1])
     tangents = rows - np.outer(rows @ c.conj(), c)
-    real_rows = np.hstack([tangents.real, tangents.imag])
-    svals = np.linalg.svd(real_rows, compute_uv=False)
+    # interleaved (re, im) columns: an orthogonal permutation of [re | im]
+    svals = np.linalg.svd(tangents.view(float), compute_uv=False)
     return _thresholded_rank(svals, rank_tol)
 
 
@@ -130,14 +125,16 @@ def _symplectic_rank(acted: np.ndarray, rank_tol: float):
     For anti-Hermitian representations <v, [xi, eta] v> = <xi v, eta v> - conj,
     so the projective two-form on the orbit is the imaginary part of the Gram
     matrix of the acted vectors; isotropy and phase directions land in its
-    kernel automatically.  Elements of different groups commute, so
+    kernel automatically.  With A = X + iY, -Im(conj(A) A^t) = K^t - K for
+    K = X Y^t, one real product.  Elements of different groups commute, so
     [xi, eta] = 0 makes their block of the two-form zero; only the per-group
-    blocks are formed, all in one batched SVD.  The scale floor is the largest squared tangent
-    norm over all groups.
+    blocks are formed, all in one batched SVD.  The scale floor is the
+    largest squared tangent norm over all groups.
     """
-    gram = acted.conj() @ acted.transpose(0, 2, 1)
-    svals = np.linalg.svd(-gram.imag, compute_uv=False)
-    floor = gram.real.diagonal(axis1=1, axis2=2).max()
+    re, im = acted.real, acted.imag
+    k = re @ im.transpose(0, 2, 1)
+    svals = np.linalg.svd(k.transpose(0, 2, 1) - k, compute_uv=False)
+    floor = np.max(np.sum(re * re + im * im, axis=-1))
     return _thresholded_rank(svals, rank_tol, scale_floor=floor)
 
 
@@ -151,18 +148,14 @@ def oracle_check(
     Rank ambiguities are reported in ``warnings``.
     """
     check_tolerance("rank_tol", rank_tol, positive=True, below=1.0)
-    inv = orbit_invariants(canonicalize(state), cluster_tol)
+    inv = orbit_invariants(reduced_matrix(state), cluster_tol)
     acted, c = _acted_vectors(state)
     orbit_dim, orbit_ambiguous = _orbit_rank(acted, c, rank_tol)
     rank, rank_ambiguous = _symplectic_rank(acted, rank_tol)
     flags = {"orbit dimension": orbit_ambiguous, "symplectic rank": rank_ambiguous}
     notes = tuple(_AMBIGUOUS.format(what) for what, ambiguous in flags.items() if ambiguous)
     degeneracy = orbit_dim - rank
-    agree = (
-        not notes
-        and orbit_dim == inv.orbit_dim
-        and degeneracy == inv.degeneracy_D
-    )
+    agree = not notes and (orbit_dim, degeneracy) == (inv.orbit_dim, inv.degeneracy_D)
     return OracleReport(
         orbit_dim_numeric=orbit_dim,
         symplectic_rank_numeric=rank,
@@ -176,16 +169,7 @@ def oracle_check(
 
 
 def oracle_to_dict(report: OracleReport) -> dict:
-    return {
-        "orbit_dim_numeric": report.orbit_dim_numeric,
-        "symplectic_rank_numeric": report.symplectic_rank_numeric,
-        "degeneracy_numeric": report.degeneracy_numeric,
-        "formula_orbit_dim": report.formula_orbit_dim,
-        "formula_degeneracy": report.formula_degeneracy,
-        "agree": report.agree,
-        "rank_tolerance_used": report.rank_tolerance_used,
-        "warnings": list(report.warnings),
-    }
+    return {**asdict(report), "warnings": list(report.warnings)}
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +205,8 @@ def three_tangle(tensor) -> float:
 def single_site_spectra(tensor) -> np.ndarray:
     """Sorted spectra of the three one-qubit reduced matrices, one row per site."""
     t = np.asarray(tensor, dtype=complex)
-    rows = []
-    for site in range(3):
-        m = np.moveaxis(t, site, 0).reshape(2, 4)
-        rows.append(np.linalg.svd(m, compute_uv=False) ** 2)
-    return np.array(rows)
+    sites = np.stack([np.moveaxis(t, site, 0).reshape(2, 4) for site in range(3)])
+    return np.linalg.svd(sites, compute_uv=False) ** 2
 
 
 def counterexample_demo() -> dict:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .canonical import CanonicalForm, canonicalize, cluster_bounds, fermion_pair_matrix
 from .errors import InvalidStratum, UnsortedInput, ValidationError
+from .moment import MomentImage
 from .states import (
     ParticleCase,
     QuantumState,
@@ -26,6 +27,7 @@ from .states import (
 )
 
 DEFAULT_CLUSTER_TOL = 1e-8
+MAX_LISTING_BITS = 16  # listings stop at 2^16 - 1 strata: boson/dist N <= 16, fermion N <= 33
 
 
 @dataclass(frozen=True)
@@ -188,15 +190,26 @@ def invariants_for(
     return OrbitInvariants(mv, flag, factors, fiber_dim, flag + fiber_dim, fiber_dim, boundary_gap)
 
 
-def orbit_invariants(cf: CanonicalForm, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> OrbitInvariants:
-    """Classify a canonical form into its stratum and compute its dimensions."""
-    if cf.case is ParticleCase.FERMION:
-        values = cf.lambdas
+def orbit_invariants(
+    source: CanonicalForm | MomentImage, cluster_tol: float = DEFAULT_CLUSTER_TOL
+) -> OrbitInvariants:
+    """Classify a canonical form or a moment image into its stratum and compute its dimensions.
+
+    A fermion moment image is clustered on sqrt(p) at every other entry: for
+    a unit-norm state these are the Youla lambdas, so ``cluster_tol`` means
+    the same for both sources.
+    """
+    fermion = source.case is ParticleCase.FERMION
+    if isinstance(source, MomentImage):
+        p = source.probabilities
+        values = np.sqrt(p[: 2 * (source.n_levels // 2) : 2]) if fermion else p
+    elif fermion:
+        values = source.lambdas
     else:
-        p = cf.lambdas**2
+        p = source.lambdas**2
         values = p / p.sum()
-    mv, gap = _multiplicity(values, cf.case, cluster_tol, cf.n_levels)
-    return invariants_for(mv, cf.case, boundary_gap=gap)
+    mv, gap = _multiplicity(values, source.case, cluster_tol, source.n_levels)
+    return invariants_for(mv, source.case, boundary_gap=gap)
 
 
 def _compositions(total: int):
@@ -231,9 +244,16 @@ def _multiplicity_candidates(case: ParticleCase, n: int):
 
 
 def enumerate_strata(case: ParticleCase, n: int) -> list[OrbitInvariants]:
-    """All orbit types for the given case and N, sorted by orbit dimension."""
+    """All orbit types for the given case and N, sorted by orbit dimension.
+
+    Counted from the compositions there are 2^b - 1, with b = N (fermions:
+    b = floor(N/2)); b above ``MAX_LISTING_BITS`` is refused before any is built.
+    """
     if n < 2:
         raise ValidationError("n must be at least 2")
+    bits = n // 2 if case is ParticleCase.FERMION else n
+    if bits > MAX_LISTING_BITS:
+        raise ValidationError(f"N={n} has 2^{bits} - 1 strata; listings stop at 2^{MAX_LISTING_BITS} - 1")
     strata = [invariants_for(mv, case) for mv in _multiplicity_candidates(case, n)]
     strata.sort(key=lambda inv: (-inv.orbit_dim, -inv.degeneracy_D, inv.d.d))
     return strata

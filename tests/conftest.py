@@ -4,6 +4,7 @@ import numpy as np
 import scipy.linalg
 
 from luorbits import LocalUnitary, ParticleCase, apply_group_action
+from luorbits.oracle import su_basis
 
 ALL_CASES = list(ParticleCase)
 
@@ -30,6 +31,18 @@ def group_action_derivative(state, xi, t=1e-5):
             g = LocalUnitary(state.case, scipy.linalg.expm(tt * xi))
             return apply_group_action(state, g).coeffs
     return (move(t) - move(-t)) / (2 * t)
+
+
+def algebra_basis(case, n):
+    """Basis of the local algebra as a list: su(N), or (xi, 0) and (0, xi) pairs for distinguishable.
+
+    The per-element reference for the oracle's batched acted vectors.
+    """
+    single = list(su_basis(n))
+    if case is not ParticleCase.DISTINGUISHABLE:
+        return single
+    zero = np.zeros((n, n), dtype=complex)
+    return [(xi, zero) for xi in single] + [(zero, xi) for xi in single]
 
 
 def random_su_algebra(n, rng):

@@ -119,6 +119,7 @@ class TestToleranceFlag:
         ["oracle", "{state}", "--rank-tol", "nan"],
         ["oracle", "{state}", "--cluster-tol", "inf"],
         ["strata", "--case", "dist", "--n", "2", "--verify", "--rank-tol", "1"],
+        ["strata", "--case", "boson", "--n", "3", "--cluster-tol", "nan", "--rank-tol", "5"],
     ])
     def test_bad_tolerance_exits_3(self, tmp_path, capsys, argv):
         asym = tmp_path / "asym.json"
@@ -163,6 +164,12 @@ class TestStrata:
         assert code == 0
         rows = json.loads(out)["strata"]
         assert all(row["oracle"]["agree"] for row in rows)
+
+    def test_oversized_listing_exits_3(self, capsys):
+        # 2^30 - 1 strata: refused before the listing is built
+        code, _, err = run_cli(capsys, "strata", "--case", "boson", "--n", "30", "--verify")
+        assert code == 3
+        assert "listings stop at" in err
 
 
 class TestOracleCommand:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from luorbits import (
     ParticleCase,
+    ValidationError,
     apply_group_action,
     fermion_pair_matrix,
     polytope_membership,
@@ -115,6 +116,12 @@ class TestPolytope:
     def test_fermion_pairing(self):
         assert polytope_membership([0.2, 0.2, -0.2, -0.2], ParticleCase.FERMION, 1e-10)
         assert not polytope_membership([0.3, 0.1, -0.1, -0.3], ParticleCase.FERMION, 1e-10)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10])
+    def test_bad_tolerance_rejected(self, tol):
+        # tol = NaN used to accept every q
+        with pytest.raises(ValidationError, match="tol must be"):
+            polytope_membership([0.9, 0.3, -0.2], ParticleCase.BOSON, tol=tol)
 
     def test_fermion_odd_needs_trailing_zero(self):
         n = 5

@@ -6,21 +6,22 @@ import pytest
 from luorbits import (
     ParticleCase,
     ValidationError,
-    algebra_basis,
     apply_algebra_action,
     apply_group_action,
+    canonicalize,
     counterexample_demo,
     enumerate_strata,
     fermion_pair_matrix,
     oracle_check,
+    orbit_invariants,
     random_local_unitary,
     random_state,
     representative_state,
     three_tangle,
     validate,
 )
-from luorbits.oracle import _acted_vectors
-from conftest import ALL_CASES, ckw_three_tangle
+from luorbits.oracle import _acted_vectors, su_basis
+from conftest import ALL_CASES, algebra_basis, ckw_three_tangle
 
 BOSON = ParticleCase.BOSON
 FERMION = ParticleCase.FERMION
@@ -42,6 +43,13 @@ class TestAlgebraBasis:
         basis = algebra_basis(BOSON, 3)
         stacked = np.array([np.concatenate([b.real.ravel(), b.imag.ravel()]) for b in basis])
         assert np.linalg.matrix_rank(stacked) == 8
+
+    def test_built_once_per_n_and_read_only(self):
+        basis = su_basis(4)
+        assert su_basis(4) is basis
+        assert basis.shape == (15, 4, 4)
+        with pytest.raises(ValueError):
+            basis[0, 0, 0] = 0.0
 
 
 def pack(matrices, case):
@@ -144,22 +152,41 @@ class TestAgainstFullCoordinateReference:
 
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_three_svds_with_one_batched_symplectic_call(self, case, monkeypatch):
-        # one for the canonical form, one for the orbit rank, one for all
-        # Gram blocks together
+        # one values-only SVD of C for the moment spectrum, one for the orbit
+        # rank, one for all Gram blocks together
         n = 4
         s = random_state(case, n, 5)
-        shapes = []
+        calls = []
         svd = np.linalg.svd
 
         def recorded_svd(a, *args, **kwargs):
-            shapes.append(np.shape(a))
+            calls.append((np.shape(a), kwargs.get("compute_uv", True)))
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recorded_svd)
         oracle_check(s)
-        assert len(shapes) == 3
+        assert len(calls) == 3
+        assert calls[0] == ((n, n), False)
         groups = 2 if case is DIST else 1
-        assert shapes[-1] == (groups, n * n - 1, n * n - 1)
+        assert calls[-1][0] == (groups, n * n - 1, n * n - 1)
+
+
+class TestFormulaSide:
+    def test_no_canonical_form_is_computed(self):
+        for case in ALL_CASES:
+            s = random_state(case, 5, 3)
+            oracle_check(s)
+            assert "canonical" not in s._derived
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_matches_the_canonical_form_invariants(self, case):
+        states = [representative_state(inv.d, case, seed=index)
+                  for n in range(2, 7) for index, inv in enumerate(enumerate_strata(case, n))]
+        for s in states + [random_state(case, 12, 12)]:
+            report = oracle_check(s)
+            inv = orbit_invariants(canonicalize(s))
+            assert (report.formula_orbit_dim, report.formula_degeneracy) == (
+                inv.orbit_dim, inv.degeneracy_D)
 
 
 class TestOrbitDimension:

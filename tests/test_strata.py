@@ -9,12 +9,14 @@ from luorbits import (
     ParticleCase,
     UnsortedInput,
     ValidationError,
+    apply_group_action,
     canonicalize,
     enumerate_strata,
     fiber_structure,
     flag_dimension,
     multiplicity_vector,
     orbit_invariants,
+    random_local_unitary,
     reduced_matrix,
     representative_state,
     validate,
@@ -166,6 +168,23 @@ class TestOrbitInvariants:
         inv = orbit_invariants(canonicalize(s))
         assert inv.boundary_gap == pytest.approx(0.3 / 0.7, rel=1e-6)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_fermion_moment_image_clusters_the_lambdas(self, n):
+        # a relative lambda gap of 0.7 cluster_tol is one block on the
+        # lambdas, but 1.4 cluster_tol on p = lambda^2 would split it
+        from luorbits import fermion_pair_matrix
+        s = validate(fermion_pair_matrix([1.0, 1.0 - 0.7e-8], n), FERMION)
+        s = apply_group_action(s, random_local_unitary(FERMION, n, 2))
+        from_moment, from_form = orbit_invariants(reduced_matrix(s)), orbit_invariants(canonicalize(s))
+        assert from_moment.d == from_form.d == MultiplicityVector((4,) + (1,) * (n - 4), n == 5)
+        assert from_moment.boundary_gap == pytest.approx(from_form.boundary_gap, rel=1e-6)
+
+    @pytest.mark.parametrize("tol", [0.0, np.nan])
+    def test_moment_image_checks_the_cluster_tolerance(self, tol):
+        image = reduced_matrix(validate(np.diag([0.8, 0.6]), DIST))
+        with pytest.raises(ValidationError, match="cluster_tol must be"):
+            orbit_invariants(image, tol)
+
 
 class TestEnumerateStrata:
     def test_boson_two_levels(self):
@@ -213,6 +232,23 @@ class TestEnumerateStrata:
         top = strata[0]
         assert top.d.d == generic
         assert all(s.orbit_dim <= top.orbit_dim for s in strata)
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_listing_size_is_the_composition_count(self, case):
+        for n in range(2, 10):
+            bits = n // 2 if case is FERMION else n
+            assert len(enumerate_strata(case, n)) == 2**bits - 1
+
+    @pytest.mark.parametrize("case, n", [(BOSON, 17), (DIST, 17), (FERMION, 34), (BOSON, 10**9)])
+    def test_oversized_listing_refused_before_it_is_built(self, case, n, monkeypatch):
+        import luorbits.strata as strata_module
+
+        def no_candidates(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(strata_module, "_multiplicity_candidates", no_candidates)
+        with pytest.raises(ValidationError, match="listings stop at"):
+            enumerate_strata(case, n)
 
     def test_fermion_block_parity(self):
         for n in range(2, 7):
