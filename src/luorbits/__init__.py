@@ -10,7 +10,6 @@ oracle.
 
 from .canonical import (
     CanonicalForm,
-    canonical_matrix,
     canonicalize,
     fermion_pair_matrix,
     reconstruct,
@@ -18,7 +17,7 @@ from .canonical import (
     takagi,
     youla_antisymmetric,
 )
-from .equivalence import EquivalenceVerdict, lu_equivalent, same_stratum
+from .equivalence import EquivalenceVerdict, lu_equivalent
 from .errors import (
     CaseMismatch,
     ConvergenceFailure,
@@ -26,18 +25,13 @@ from .errors import (
     InvalidStratum,
     LuorbitsError,
     NonSquareInput,
-    NotAntiHermitian,
     ParseError,
     SymmetryViolation,
     UnsortedInput,
     ValidationError,
     ZeroState,
 )
-from .moment import (
-    MomentImage,
-    polytope_membership,
-    reduced_matrix,
-)
+from .moment import MomentImage, reduced_matrix
 from .oracle import (
     OracleReport,
     counterexample_demo,
@@ -48,7 +42,6 @@ from .states import (
     LocalUnitary,
     ParticleCase,
     QuantumState,
-    apply_algebra_action,
     apply_group_action,
     random_local_unitary,
     random_state,
@@ -81,7 +74,6 @@ __all__ = [
     "MomentImage",
     "MultiplicityVector",
     "NonSquareInput",
-    "NotAntiHermitian",
     "OracleReport",
     "OrbitInvariants",
     "ParseError",
@@ -91,9 +83,7 @@ __all__ = [
     "UnsortedInput",
     "ValidationError",
     "ZeroState",
-    "apply_algebra_action",
     "apply_group_action",
-    "canonical_matrix",
     "canonicalize",
     "counterexample_demo",
     "enumerate_strata",
@@ -104,13 +94,11 @@ __all__ = [
     "multiplicity_vector",
     "oracle_check",
     "orbit_invariants",
-    "polytope_membership",
     "random_local_unitary",
     "random_state",
     "reconstruct",
     "reduced_matrix",
     "representative_state",
-    "same_stratum",
     "state_from_dict",
     "state_to_dict",
     "svd_congruence",

@@ -216,16 +216,12 @@ def _into_special_unitary(u: np.ndarray):
     return u * z, z
 
 
-def canonical_matrix(cf: CanonicalForm) -> np.ndarray:
-    """The slice representative matrix Lambda (or its fermionic block form)."""
-    if cf.case is ParticleCase.FERMION:
-        return fermion_pair_matrix(cf.lambdas, cf.n_levels)
-    return np.diag(cf.lambdas.astype(complex))
-
-
 def reconstruct(cf: CanonicalForm) -> np.ndarray:
-    """global_phase * U Lambda U^t (or U Lambda V^t), which approximates C."""
-    core = canonical_matrix(cf)
+    """global_phase * U Lambda U^t (or U Lambda V^t), Lambda the slice form; approximates C."""
+    if cf.case is ParticleCase.FERMION:
+        core = fermion_pair_matrix(cf.lambdas, cf.n_levels)
+    else:
+        core = np.diag(cf.lambdas.astype(complex))
     right = cf.witness_u if cf.witness_v is None else cf.witness_v
     return cf.global_phase * (cf.witness_u @ core @ right.T)
 

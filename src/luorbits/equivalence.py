@@ -17,7 +17,6 @@ from .canonical import canonicalize
 from .errors import CaseMismatch, ConvergenceFailure, DimensionMismatch
 from .moment import reduced_matrix
 from .states import LocalUnitary, ParticleCase, QuantumState, apply_group_action, check_tolerance
-from .strata import orbit_invariants
 
 DEFAULT_SPECTRUM_TOL = 1e-8
 WITNESS_RESIDUAL_TOL = 1e-7
@@ -83,18 +82,6 @@ def lu_equivalent(
             (f"witness residual {residual:.3e} above {WITNESS_RESIDUAL_TOL:.1e}",),
         )
     return EquivalenceVerdict(True, distance, g, residual, phase)
-
-
-def same_stratum(a: QuantumState, b: QuantumState) -> bool:
-    """True iff both states have the same orbit type (d vector and degeneracy).
-
-    Weaker than lu_equivalent: same stratum means same orbit dimensions, not
-    the same orbit.
-    """
-    _check_pair(a, b)
-    inv_a = orbit_invariants(canonicalize(a))
-    inv_b = orbit_invariants(canonicalize(b))
-    return inv_a.d == inv_b.d
 
 
 def verdict_to_dict(verdict: EquivalenceVerdict) -> dict:

@@ -33,10 +33,6 @@ class DimensionMismatch(ValidationError):
     """Operands have different one-particle dimensions."""
 
 
-class NotAntiHermitian(ValidationError):
-    """Algebra element has a Hermitian part above tolerance."""
-
-
 class UnsortedInput(ValidationError):
     """Vector expected sorted descending and nonnegative."""
 

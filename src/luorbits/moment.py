@@ -1,4 +1,4 @@
-"""One-particle reduced matrices, moment spectra, and the probability polytope.
+"""One-particle reduced matrices and moment spectra.
 
 The moment image of a state is rho - I/N, with rho = C C^dag / Tr(C^dag C) the
 (left) one-particle reduced matrix.  Its spectrum p is the squared singular
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .states import ParticleCase, QuantumState, check_tolerance
+from .states import ParticleCase, QuantumState
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,26 +64,6 @@ def _moment_image(state: QuantumState) -> MomentImage:
     p = s**2 / np.sum(s**2)
     p.setflags(write=False)
     return MomentImage(state.case, state.n_levels, p, state.coeffs)
-
-
-def polytope_membership(q, case: ParticleCase, tol: float = 1e-10) -> bool:
-    """Check that q + (1/N)(1,...,1) is an admissible probability vector.
-
-    For fermions the sorted probabilities must additionally pair up
-    (doubled singular values), with a forced zero entry when N is odd.
-    """
-    check_tolerance("tol", tol)
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
-    p = q + 1.0 / n
-    if np.any(p < -tol) or abs(p.sum() - 1.0) > tol:
-        return False
-    if case is ParticleCase.FERMION:
-        p = np.sort(p)[::-1]
-        pairs = 2 * (n // 2)
-        if np.any(np.abs(p[:pairs:2] - p[1:pairs:2]) > tol) or (n % 2 == 1 and p[-1] > tol):
-            return False
-    return True
 
 
 def moment_to_dict(image: MomentImage) -> dict:

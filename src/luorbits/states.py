@@ -1,4 +1,4 @@
-"""State containers, validation, and local special-unitary group/algebra actions.
+"""State containers, validation, and the local special-unitary group action.
 
 A two-particle pure state is held as its complex N x N coefficient matrix:
 symmetric for bosons, antisymmetric for fermions, unconstrained for
@@ -19,7 +19,6 @@ from .errors import (
     CaseMismatch,
     DimensionMismatch,
     NonSquareInput,
-    NotAntiHermitian,
     ParseError,
     SymmetryViolation,
     ValidationError,
@@ -27,7 +26,6 @@ from .errors import (
 )
 
 DEFAULT_SYMMETRY_TOL = 1e-9
-ANTIHERMITIAN_TOL = 1e-10
 
 
 class ParticleCase(enum.Enum):
@@ -102,6 +100,12 @@ def check_tolerance(name: str, tol, *, positive: bool = False, below: float = ma
         raise ValidationError(f"{name} must be a finite number in {bounds}, got {tol!r}")
 
 
+def check_levels(n) -> None:
+    """Raise ValidationError unless ``n`` is an integer (not a bool) and at least 2."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 2:
+        raise ValidationError(f"n must be an integer >= 2, got {n!r}")
+
+
 def validate(raw, case: ParticleCase, tol: float = DEFAULT_SYMMETRY_TOL) -> QuantumState:
     """Check, (anti)symmetrize and normalize a raw coefficient matrix.
 
@@ -163,40 +167,9 @@ def apply_group_action(state: QuantumState, g: LocalUnitary) -> QuantumState:
     return _make_state(state.case, out)
 
 
-def _check_antihermitian(xi: np.ndarray, n: int) -> np.ndarray:
-    xi = np.asarray(xi, dtype=complex)
-    if xi.shape != (n, n):
-        raise DimensionMismatch(f"algebra element shape {xi.shape} does not match N={n}")
-    herm = np.linalg.norm(xi + xi.conj().T) / 2.0
-    if herm > ANTIHERMITIAN_TOL:
-        raise NotAntiHermitian(f"Hermitian part norm {herm:.3e} exceeds {ANTIHERMITIAN_TOL:.1e}")
-    return xi
-
-
-def apply_algebra_action(state: QuantumState, xi) -> np.ndarray:
-    """Linearized action: xi C + C xi^t, or xi1 C + C xi2^t for a pair.
-
-    Returns the tangent matrix (not a state); the symmetry class of the
-    input is preserved exactly.
-    """
-    c = state.coeffs
-    n = state.n_levels
-    if state.case.diagonal_action:
-        xi = _check_antihermitian(xi, n)
-        out = xi @ c + c @ xi.T
-        sign = state.case.symmetry_sign
-        return (out + sign * out.T) / 2.0
-    if not isinstance(xi, (tuple, list)) or len(xi) != 2:
-        raise CaseMismatch("distinguishable algebra action needs a pair (xi1, xi2)")
-    xi1 = _check_antihermitian(xi[0], n)
-    xi2 = _check_antihermitian(xi[1], n)
-    return xi1 @ c + c @ xi2.T
-
-
 def random_state(case: ParticleCase, n: int, seed: int) -> QuantumState:
     """Gaussian random state projected onto the symmetry class, unit norm."""
-    if n < 2:
-        raise ValidationError("n must be at least 2")
+    check_levels(n)
     rng = np.random.default_rng(seed)
     arr = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     sign = case.symmetry_sign
@@ -217,8 +190,7 @@ def haar_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_local_unitary(case: ParticleCase, n: int, seed: int) -> LocalUnitary:
     """Deterministic Haar-random element of the local group for the given case."""
-    if n < 2:
-        raise ValidationError("n must be at least 2")
+    check_levels(n)
     rng = np.random.default_rng(seed)
     u = haar_special_unitary(n, rng)
     if case is ParticleCase.DISTINGUISHABLE:
@@ -257,9 +229,13 @@ def complex_matrix_from_json(rows, n: int | None = None) -> np.ndarray:
                 or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in entry)
             ):
                 raise ParseError("matrix entries must be [re, im] number pairs")
-            if not (math.isfinite(entry[0]) and math.isfinite(entry[1])):
+            try:
+                real, imag = float(entry[0]), float(entry[1])
+            except OverflowError:  # an int literal beyond the float range
+                raise ParseError("matrix entries must be finite") from None
+            if not (math.isfinite(real) and math.isfinite(imag)):
                 raise ParseError("matrix entries must be finite")
-            entries.append(complex(entry[0], entry[1]))
+            entries.append(complex(real, imag))
         out.append(entries)
     if n is not None and (len(out) != n or width != n):
         raise ParseError(f"matrix shape {len(out)}x{width} does not match n={n}")

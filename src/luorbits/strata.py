@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalForm, canonicalize, cluster_bounds, fermion_pair_matrix
+from .canonical import CanonicalForm, cluster_bounds, fermion_pair_matrix
 from .errors import InvalidStratum, UnsortedInput, ValidationError
 from .moment import MomentImage
 from .states import (
     ParticleCase,
     QuantumState,
     apply_group_action,
+    check_levels,
     check_tolerance,
     random_local_unitary,
     validate,
@@ -130,6 +131,8 @@ def _multiplicity(values, case: ParticleCase, cluster_tol: float, n_levels: int 
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or len(values) == 0:
         raise UnsortedInput("expected a non-empty vector")
+    if not np.all(np.isfinite(values)):
+        raise UnsortedInput("spectrum contains NaN or Inf entries")
     slack = 1e-12 * abs(values[0])
     if np.any(np.diff(values) > slack) or values[-1] < -slack:
         raise UnsortedInput("input must be sorted descending and nonnegative")
@@ -249,8 +252,7 @@ def enumerate_strata(case: ParticleCase, n: int) -> list[OrbitInvariants]:
     Counted from the compositions there are 2^b - 1, with b = N (fermions:
     b = floor(N/2)); b above ``MAX_LISTING_BITS`` is refused before any is built.
     """
-    if n < 2:
-        raise ValidationError("n must be at least 2")
+    check_levels(n)
     bits = n // 2 if case is ParticleCase.FERMION else n
     if bits > MAX_LISTING_BITS:
         raise ValidationError(f"N={n} has 2^{bits} - 1 strata; listings stop at 2^{MAX_LISTING_BITS} - 1")

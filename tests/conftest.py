@@ -33,10 +33,29 @@ def group_action_derivative(state, xi, t=1e-5):
     return (move(t) - move(-t)) / (2 * t)
 
 
+def algebra_action(state, xi):
+    """Linearized action xi C + C xi^t, or xi1 C + C xi2^t for a pair (xi1, xi2).
+
+    The per-element reference for the oracle's batched acted vectors.
+    """
+    c = state.coeffs
+    if state.case is ParticleCase.DISTINGUISHABLE:
+        return xi[0] @ c + c @ xi[1].T
+    out = xi @ c + c @ xi.T
+    sign = state.case.symmetry_sign
+    return (out + sign * out.T) / 2.0
+
+
+def pack(matrices, case):
+    """Upper triangle of Sym(N) / Alt(N) matrices, off-diagonal entries times sqrt(2)."""
+    rows, cols = np.triu_indices(matrices.shape[-1], 0 if case is ParticleCase.BOSON else 1)
+    return matrices[..., rows, cols] * np.where(rows == cols, 1.0, np.sqrt(2.0))
+
+
 def algebra_basis(case, n):
     """Basis of the local algebra as a list: su(N), or (xi, 0) and (0, xi) pairs for distinguishable.
 
-    The per-element reference for the oracle's batched acted vectors.
+    In the row order of the oracle's acted vectors.
     """
     single = list(su_basis(n))
     if case is not ParticleCase.DISTINGUISHABLE:

@@ -90,6 +90,15 @@ class TestCompare:
         assert code == 1
         assert "equivalent: False" in out
 
+    def test_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        a = write_state(tmp_path, "a.json", "boson", 2, 5, capsys)
+        big = tmp_path / "big.json"
+        big.write_text('{"case": "boson", "n": 2, "matrix": [[[1%s, 0], [0, 0]], [[0, 0], [1, 0]]]}'
+                       % ("0" * 400))
+        code, _, err = run_cli(capsys, "compare", str(big), str(a))
+        assert code == 2
+        assert "parse error" in err
+
     def test_case_mismatch_exit_3(self, tmp_path, capsys):
         a = write_state(tmp_path, "a.json", "boson", 3, 5, capsys)
         b = write_state(tmp_path, "b.json", "dist", 3, 5, capsys)

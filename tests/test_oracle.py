@@ -6,7 +6,6 @@ import pytest
 from luorbits import (
     ParticleCase,
     ValidationError,
-    apply_algebra_action,
     apply_group_action,
     canonicalize,
     counterexample_demo,
@@ -21,7 +20,7 @@ from luorbits import (
     validate,
 )
 from luorbits.oracle import _acted_vectors, su_basis
-from conftest import ALL_CASES, algebra_basis, ckw_three_tangle
+from conftest import ALL_CASES, algebra_action, algebra_basis, ckw_three_tangle, pack
 
 BOSON = ParticleCase.BOSON
 FERMION = ParticleCase.FERMION
@@ -52,16 +51,10 @@ class TestAlgebraBasis:
             basis[0, 0, 0] = 0.0
 
 
-def pack(matrices, case):
-    """Upper triangle of Sym(N) / Alt(N) matrices, off-diagonal entries times sqrt(2)."""
-    rows, cols = np.triu_indices(matrices.shape[-1], 0 if case is BOSON else 1)
-    return matrices[..., rows, cols] * np.where(rows == cols, 1.0, np.sqrt(2.0))
-
-
 def full_acted(s):
     """Acted vectors in full N x N coordinates, one row per basis element, groups concatenated."""
     basis = algebra_basis(s.case, s.n_levels)
-    return np.array([apply_algebra_action(s, xi).ravel() for xi in basis])
+    return np.array([algebra_action(s, xi).ravel() for xi in basis])
 
 
 def sample_states(case):
@@ -76,7 +69,7 @@ class TestActedVectors:
     def test_matches_the_per_element_algebra_action(self, case):
         for s in sample_states(case):
             n = s.n_levels
-            per_element = np.array([apply_algebra_action(s, xi) for xi in algebra_basis(case, n)])
+            per_element = np.array([algebra_action(s, xi) for xi in algebra_basis(case, n)])
             if case is DIST:
                 reference, c = per_element.reshape(2, n * n - 1, n * n), s.coeffs.ravel()
             else:

@@ -1,4 +1,4 @@
-"""Tests for state validation, serialization, and group/algebra actions."""
+"""Tests for state validation, serialization, the group action and the algebra-action reference."""
 
 import json
 
@@ -7,18 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import luorbits
 from luorbits import (
     CaseMismatch,
     DimensionMismatch,
     LocalUnitary,
     NonSquareInput,
-    NotAntiHermitian,
     ParseError,
     ParticleCase,
     SymmetryViolation,
     ValidationError,
     ZeroState,
-    apply_algebra_action,
     apply_group_action,
     canonicalize,
     enumerate_strata,
@@ -29,7 +28,13 @@ from luorbits import (
     state_to_dict,
     validate,
 )
-from conftest import ALL_CASES, assert_special_unitary, group_action_derivative, random_su_algebra
+from conftest import (
+    ALL_CASES,
+    algebra_action,
+    assert_special_unitary,
+    group_action_derivative,
+    random_su_algebra,
+)
 
 
 class TestValidate:
@@ -187,13 +192,13 @@ class TestGroupAction:
 class TestAlgebraAction:
     def test_zero_element(self):
         s = random_state(ParticleCase.BOSON, 3, 1)
-        np.testing.assert_array_equal(apply_algebra_action(s, np.zeros((3, 3))), np.zeros((3, 3)))
+        np.testing.assert_array_equal(algebra_action(s, np.zeros((3, 3))), np.zeros((3, 3)))
 
     def test_diagonal_element_on_maximally_mixed_boson(self):
         s = validate(np.eye(2), ParticleCase.BOSON)
         xi = 1j * np.diag([1.0, -1.0])
         expected = 2 * xi @ s.coeffs
-        np.testing.assert_allclose(apply_algebra_action(s, xi), expected, atol=1e-14)
+        np.testing.assert_allclose(algebra_action(s, xi), expected, atol=1e-14)
 
     def test_su2_annihilates_the_fermion_singlet(self):
         # xi J + J xi^t = tr(xi) J = 0 on su(2)
@@ -201,12 +206,7 @@ class TestAlgebraAction:
         rng = np.random.default_rng(5)
         for _ in range(5):
             xi = random_su_algebra(2, rng)
-            assert np.linalg.norm(apply_algebra_action(s, xi)) <= 1e-12
-
-    def test_hermitian_part_rejected(self):
-        s = random_state(ParticleCase.BOSON, 2, 1)
-        with pytest.raises(NotAntiHermitian):
-            apply_algebra_action(s, np.eye(2))
+            assert np.linalg.norm(algebra_action(s, xi)) <= 1e-12
 
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_matches_group_action_derivative(self, case):
@@ -219,7 +219,7 @@ class TestAlgebraAction:
             else:
                 xi = random_su_algebra(n, rng)
             fd = group_action_derivative(s, xi)
-            assert np.linalg.norm(fd - apply_algebra_action(s, xi)) <= 1e-6
+            assert np.linalg.norm(fd - algebra_action(s, xi)) <= 1e-6
 
 
 class TestRandomGenerators:
@@ -250,6 +250,18 @@ class TestRandomGenerators:
             np.testing.assert_array_equal(g1.v, g2.v)
         else:
             assert g1.v is None
+
+
+    @pytest.mark.parametrize("n", [3.0, 2.5, True, 1, "3", None])
+    @pytest.mark.parametrize("make", [
+        lambda n: random_state(ParticleCase.BOSON, n, 1),
+        lambda n: random_local_unitary(ParticleCase.DISTINGUISHABLE, n, 1),
+        lambda n: enumerate_strata(ParticleCase.FERMION, n),
+    ], ids=["random_state", "random_local_unitary", "enumerate_strata"])
+    def test_n_must_be_an_integer_of_at_least_two(self, make, n):
+        with pytest.raises(ValidationError, match="n must be an integer >= 2"):
+            make(n)
+        make(np.int64(3))
 
 
 class TestStateFiles:
@@ -288,3 +300,26 @@ class TestStateFiles:
     def test_shape_mismatch(self):
         with pytest.raises(ParseError):
             state_from_dict({"case": "boson", "n": 3, "matrix": [[[1, 0]] * 2] * 2})
+
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_integer_beyond_the_float_range(self, part):
+        entry = [0, 0]
+        entry[part] = 10**400
+        with pytest.raises(ParseError, match="finite"):
+            state_from_dict({"case": "boson", "n": 2, "matrix": [[entry, [0, 0]], [[0, 0], [1, 0]]]})
+
+
+class TestPublicSurface:
+    def test_every_exported_name_resolves_once(self):
+        assert len(luorbits.__all__) == len(set(luorbits.__all__))
+        for name in luorbits.__all__:
+            assert getattr(luorbits, name) is not None
+
+    @pytest.mark.parametrize("name", [
+        "apply_algebra_action", "NotAntiHermitian", "same_stratum", "polytope_membership", "canonical_matrix",
+    ])
+    def test_removed_name_stays_removed(self, name):
+        assert name not in luorbits.__all__
+        for module in (luorbits, luorbits.canonical, luorbits.equivalence, luorbits.errors,
+                       luorbits.moment, luorbits.states):
+            assert not hasattr(module, name)

@@ -59,6 +59,12 @@ class TestMultiplicityVector:
         with pytest.raises(UnsortedInput):
             multiplicity_vector([0.5, -0.1], BOSON)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("case", [BOSON, FERMION])
+    def test_non_finite_rejected(self, case, bad):
+        with pytest.raises(UnsortedInput, match="NaN or Inf"):
+            multiplicity_vector([bad, 0.5], case, n_levels=4)
+
     def test_cluster_tolerance(self):
         assert multiplicity_vector([0.5, 0.5 - 1e-10, 0.3], BOSON).d == (2, 1)
         assert multiplicity_vector([0.5, 0.4, 0.3], BOSON).d == (1, 1, 1)
