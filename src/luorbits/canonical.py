@@ -265,15 +265,3 @@ def _canonical_form(state: QuantumState) -> CanonicalForm:
     if residual > 1e-9:
         raise ConvergenceFailure(f"canonical reconstruction residual {residual:.3e}")
     return CanonicalForm(state.case, n, lam, u, v, complex(phase), residual)
-
-
-def canonical_to_dict(cf: CanonicalForm) -> dict:
-    from .states import complex_matrix_to_json
-
-    return {
-        "lambdas": [float(x) for x in cf.lambdas],
-        "residual": cf.residual,
-        "global_phase": [cf.global_phase.real, cf.global_phase.imag],
-        "witness_u": complex_matrix_to_json(cf.witness_u),
-        "witness_v": None if cf.witness_v is None else complex_matrix_to_json(cf.witness_v),
-    }

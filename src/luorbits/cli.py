@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from .canonical import canonical_to_dict, canonicalize
-from .equivalence import DEFAULT_SPECTRUM_TOL, lu_equivalent, verdict_to_dict
+import numpy as np
+
+from .canonical import canonicalize
+from .equivalence import DEFAULT_SPECTRUM_TOL, lu_equivalent
 from .errors import ConvergenceFailure, LuorbitsError, ParseError, ValidationError
-from .moment import moment_to_dict, reduced_matrix
-from .oracle import DEFAULT_RANK_TOL, counterexample_demo, oracle_check, oracle_to_dict
+from .moment import reduced_matrix
+from .oracle import DEFAULT_RANK_TOL, counterexample_demo, oracle_check
 from .states import (
     DEFAULT_SYMMETRY_TOL,
     ParticleCase,
@@ -24,7 +27,6 @@ from .strata import (
     enumerate_strata,
     orbit_invariants,
     representative_state,
-    stratum_to_dict,
 )
 
 EXIT_OK = 0
@@ -34,27 +36,45 @@ EXIT_VALIDATION = 3
 EXIT_CONVERGENCE = 4
 
 
-def _round15(value):
-    """Round every float in a JSON-ready structure to 15 significant digits."""
+def _jsonable(value):
+    """JSON-ready copy of a result: floats at 15 significant digits, complex numbers
+    as [re, im] pairs, arrays and tuples as lists, dataclasses field by field."""
+    # leaf types first: they are most of what a witness matrix holds
     if isinstance(value, float):
         return float(f"{value:.15g}")
-    if isinstance(value, list):
-        return [_round15(item) for item in value]
+    if isinstance(value, complex):
+        return [_jsonable(value.real), _jsonable(value.imag)]
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
     if isinstance(value, dict):
-        return {key: _round15(item) for key, item in value.items()}
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        return _jsonable(value.tolist())
+    if dataclasses.is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     return value
 
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(out_path, "w") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise LuorbitsError(f"cannot write {out_path}: {exc}") from None
     else:
         print(text)
 
 
 def _emit_json(payload, out_path: str | None) -> None:
-    _emit(json.dumps(_round15(payload), indent=2), out_path)
+    _emit(json.dumps(_jsonable(payload), indent=2), out_path)
+
+
+def _stratum(inv) -> dict:
+    """The stratum fields that ``classify`` and ``strata`` both emit."""
+    return {"d": inv.d.d, "degenerate": inv.d.degenerate, "flag_dim": inv.flag_dim_real,
+            "fiber": inv.fiber_factors, "fiber_dim": inv.fiber_dim, "orbit_dim": inv.orbit_dim,
+            "degeneracy": inv.degeneracy_D}
 
 
 def _load_state(path: str, tol: float = DEFAULT_SYMMETRY_TOL):
@@ -80,17 +100,12 @@ def _cmd_classify(args) -> int:
     image = reduced_matrix(state)
     inv = orbit_invariants(cf, args.cluster_tol)
     if args.json:
-        _emit_json(
-            {
-                "case": state.case.value,
-                "n": state.n_levels,
-                "canonical_form": canonical_to_dict(cf),
-                "moment": moment_to_dict(image),
-                "invariants": stratum_to_dict(inv),
-                "boundary_gap": inv.boundary_gap,
-            },
-            args.out,
-        )
+        form = {"lambdas": cf.lambdas, "residual": cf.residual, "global_phase": cf.global_phase,
+                "witness_u": cf.witness_u, "witness_v": cf.witness_v}
+        moment = {"case": image.case.value, "q": image.q_spectrum, "p": image.probabilities}
+        payload = {"case": state.case.value, "n": state.n_levels, "canonical_form": form,
+                   "moment": moment, "invariants": _stratum(inv), "boundary_gap": inv.boundary_gap}
+        _emit_json(payload, args.out)
         return EXIT_OK
     lines = [
         f"case: {state.case.value}  N: {state.n_levels}",
@@ -112,7 +127,12 @@ def _cmd_compare(args) -> int:
     b = _load_state(args.path_b)
     verdict = lu_equivalent(a, b, args.tol)
     if args.json:
-        _emit_json(verdict_to_dict(verdict), args.out)
+        g = verdict.witness
+        witness = None if g is None else {"u": g.u, "v": g.v, "phase": verdict.witness_phase}
+        payload = {"equivalent": verdict.equivalent, "spectral_distance": verdict.spectral_distance,
+                   "witness": witness, "witness_residual": verdict.witness_residual,
+                   "warnings": verdict.warnings}
+        _emit_json(payload, args.out)
     else:
         lines = [
             f"equivalent: {verdict.equivalent}",
@@ -132,10 +152,10 @@ def _cmd_strata(args) -> int:
     strata = enumerate_strata(case, args.n)
     rows = []
     for index, inv in enumerate(strata):
-        row = stratum_to_dict(inv)
+        row = _stratum(inv)
         if args.verify:
             rep = representative_state(inv.d, case, seed=index)
-            row["oracle"] = oracle_to_dict(oracle_check(rep, args.rank_tol, args.cluster_tol))
+            row["oracle"] = oracle_check(rep, args.rank_tol, args.cluster_tol)
         rows.append(row)
     if args.json:
         _emit_json({"case": case.value, "n": args.n, "strata": rows}, args.out)
@@ -150,7 +170,7 @@ def _cmd_strata(args) -> int:
             f"{inv.flag_dim_real:>4}  {inv.fiber_dim:>5}  {inv.orbit_dim:>5}  {inv.degeneracy_D:>3}"
         )
         if args.verify:
-            line += "  " + ("agree" if row["oracle"]["agree"] else "DISAGREE")
+            line += "  " + ("agree" if row["oracle"].agree else "DISAGREE")
         lines.append(line)
     _emit("\n".join(lines), args.out)
     return EXIT_OK
@@ -160,7 +180,7 @@ def _cmd_oracle(args) -> int:
     state = _load_state(args.path, args.tol)
     report = oracle_check(state, args.rank_tol, args.cluster_tol)
     if args.json:
-        _emit_json(oracle_to_dict(report), args.out)
+        _emit_json(report, args.out)
     else:
         lines = [
             f"orbit dimension: numeric {report.orbit_dim_numeric}, formula {report.formula_orbit_dim}",

@@ -82,24 +82,3 @@ def lu_equivalent(
             (f"witness residual {residual:.3e} above {WITNESS_RESIDUAL_TOL:.1e}",),
         )
     return EquivalenceVerdict(True, distance, g, residual, phase)
-
-
-def verdict_to_dict(verdict: EquivalenceVerdict) -> dict:
-    from .states import complex_matrix_to_json
-
-    witness = None
-    if verdict.witness is not None:
-        witness = {
-            "u": complex_matrix_to_json(verdict.witness.u),
-            "v": None
-            if verdict.witness.v is None
-            else complex_matrix_to_json(verdict.witness.v),
-            "phase": [verdict.witness_phase.real, verdict.witness_phase.imag],
-        }
-    return {
-        "equivalent": verdict.equivalent,
-        "spectral_distance": verdict.spectral_distance,
-        "witness": witness,
-        "witness_residual": verdict.witness_residual,
-        "warnings": list(verdict.warnings),
-    }

@@ -38,7 +38,7 @@ class UnsortedInput(ValidationError):
 
 
 class InvalidStratum(ValidationError):
-    """Multiplicity data describes the zero state (single all-zero block)."""
+    """Multiplicity data describes no orbit: the zero state, or blocks that are not positive integers."""
 
 
 class ConvergenceFailure(LuorbitsError):

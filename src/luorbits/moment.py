@@ -64,11 +64,3 @@ def _moment_image(state: QuantumState) -> MomentImage:
     p = s**2 / np.sum(s**2)
     p.setflags(write=False)
     return MomentImage(state.case, state.n_levels, p, state.coeffs)
-
-
-def moment_to_dict(image: MomentImage) -> dict:
-    return {
-        "case": image.case.value,
-        "q": [float(x) for x in image.q_spectrum],
-        "p": [float(x) for x in image.probabilities],
-    }

@@ -19,7 +19,7 @@ between the groups vanishes and the Gram splits into one block per group.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,7 +44,7 @@ class OracleReport:
     formula_degeneracy: int
     agree: bool
     rank_tolerance_used: float
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...] = ()
 
 
 @lru_cache(maxsize=16)
@@ -166,10 +166,6 @@ def oracle_check(
         rank_tolerance_used=rank_tol,
         warnings=notes,
     )
-
-
-def oracle_to_dict(report: OracleReport) -> dict:
-    return {**asdict(report), "warnings": list(report.warnings)}
 
 
 # ---------------------------------------------------------------------------

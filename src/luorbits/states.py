@@ -100,10 +100,10 @@ def check_tolerance(name: str, tol, *, positive: bool = False, below: float = ma
         raise ValidationError(f"{name} must be a finite number in {bounds}, got {tol!r}")
 
 
-def check_levels(n) -> None:
-    """Raise ValidationError unless ``n`` is an integer (not a bool) and at least 2."""
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 2:
-        raise ValidationError(f"n must be an integer >= 2, got {n!r}")
+def check_integer(name: str, value, minimum: int) -> None:
+    """Raise ValidationError unless ``value`` is an integer (not a bool) and at least ``minimum``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def validate(raw, case: ParticleCase, tol: float = DEFAULT_SYMMETRY_TOL) -> QuantumState:
@@ -115,6 +115,8 @@ def validate(raw, case: ParticleCase, tol: float = DEFAULT_SYMMETRY_TOL) -> Quan
     check_tolerance("tol", tol)
     try:
         arr = np.array(raw, dtype=complex, order="C")
+    except OverflowError:  # an int beyond the float range
+        raise ValidationError("matrix entries must be finite") from None
     except (ValueError, TypeError) as exc:
         raise NonSquareInput(f"input is not a complex matrix: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -169,7 +171,8 @@ def apply_group_action(state: QuantumState, g: LocalUnitary) -> QuantumState:
 
 def random_state(case: ParticleCase, n: int, seed: int) -> QuantumState:
     """Gaussian random state projected onto the symmetry class, unit norm."""
-    check_levels(n)
+    check_integer("n", n, 2)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     arr = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     sign = case.symmetry_sign
@@ -190,7 +193,8 @@ def haar_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_local_unitary(case: ParticleCase, n: int, seed: int) -> LocalUnitary:
     """Deterministic Haar-random element of the local group for the given case."""
-    check_levels(n)
+    check_integer("n", n, 2)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     u = haar_special_unitary(n, rng)
     if case is ParticleCase.DISTINGUISHABLE:

@@ -10,6 +10,7 @@ spaces, and its dimension is the symplectic degeneracy D of the orbit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .states import (
     ParticleCase,
     QuantumState,
     apply_group_action,
-    check_levels,
+    check_integer,
     check_tolerance,
     random_local_unitary,
     validate,
@@ -37,6 +38,14 @@ class MultiplicityVector:
 
     d: tuple[int, ...]
     degenerate: bool
+
+    def __post_init__(self):
+        try:
+            valid = bool(self.d) and all(operator.index(b) > 0 for b in self.d)
+        except TypeError:
+            valid = False
+        if not valid:
+            raise InvalidStratum(f"blocks must be one or more positive integers, got {self.d!r}")
 
     @property
     def k(self) -> int:
@@ -128,7 +137,10 @@ def multiplicity_vector(
 def _multiplicity(values, case: ParticleCase, cluster_tol: float, n_levels: int | None):
     """``multiplicity_vector`` together with the boundary gap of ``_cluster``."""
     check_tolerance("cluster_tol", cluster_tol, positive=True)
-    values = np.asarray(values, dtype=float)
+    try:
+        values = np.asarray(values, dtype=float)
+    except (ValueError, TypeError):
+        raise UnsortedInput("expected a vector of real numbers") from None
     if values.ndim != 1 or len(values) == 0:
         raise UnsortedInput("expected a non-empty vector")
     if not np.all(np.isfinite(values)):
@@ -252,7 +264,7 @@ def enumerate_strata(case: ParticleCase, n: int) -> list[OrbitInvariants]:
     Counted from the compositions there are 2^b - 1, with b = N (fermions:
     b = floor(N/2)); b above ``MAX_LISTING_BITS`` is refused before any is built.
     """
-    check_levels(n)
+    check_integer("n", n, 2)
     bits = n // 2 if case is ParticleCase.FERMION else n
     if bits > MAX_LISTING_BITS:
         raise ValidationError(f"N={n} has 2^{bits} - 1 strata; listings stop at 2^{MAX_LISTING_BITS} - 1")
@@ -291,15 +303,3 @@ def representative_state(
     if seed is not None:
         state = apply_group_action(state, random_local_unitary(case, mv.n_levels, seed))
     return state
-
-
-def stratum_to_dict(inv: OrbitInvariants) -> dict:
-    return {
-        "d": list(inv.d.d),
-        "degenerate": inv.d.degenerate,
-        "flag_dim": inv.flag_dim_real,
-        "fiber": [{"kind": f.kind, "m": f.m, "dim": f.dim} for f in inv.fiber_factors],
-        "fiber_dim": inv.fiber_dim,
-        "orbit_dim": inv.orbit_dim,
-        "degeneracy": inv.degeneracy_D,
-    }

@@ -174,6 +174,13 @@ class TestStrata:
         rows = json.loads(out)["strata"]
         assert all(row["oracle"]["agree"] for row in rows)
 
+    def test_unwritable_out_exits_3(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "strata", "--case", "boson", "--n", "3", "--json",
+                                 "--out", str(target))
+        assert code == 3
+        assert str(target) in err and out == ""
+
     def test_oversized_listing_exits_3(self, capsys):
         # 2^30 - 1 strata: refused before the listing is built
         code, _, err = run_cli(capsys, "strata", "--case", "boson", "--n", "30", "--verify")
@@ -202,6 +209,11 @@ class TestRandomCommand:
         assert state.n_levels == 4
         assert abs(np.linalg.norm(state.coeffs) - 1.0) <= 1e-12
 
+    def test_negative_seed_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "random", "--case", "boson", "--n", "3", "--seed", "-1")
+        assert code == 3
+        assert "seed must be an integer >= 0" in err and out == ""
+
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "random", "--case", "fermion", "--n", "5", "--seed", "2")
         _, out2, _ = run_cli(capsys, "random", "--case", "fermion", "--n", "5", "--seed", "2")
@@ -228,6 +240,90 @@ class TestDemo:
         assert report["moment_images_equal"]
         assert report["tangle_x1"] == pytest.approx(8 / 9, abs=1e-10)
         assert report["tangle_x2"] == 0.0
+
+
+STRATUM_KEYS = ["d", "degenerate", "flag_dim", "fiber", "fiber_dim", "orbit_dim", "degeneracy"]
+ORACLE_KEYS = ["orbit_dim_numeric", "symplectic_rank_numeric", "degeneracy_numeric", "formula_orbit_dim",
+               "formula_degeneracy", "agree", "rank_tolerance_used", "warnings"]
+
+
+def _is_pair(value):
+    return isinstance(value, list) and len(value) == 2 and all(isinstance(x, float) for x in value)
+
+
+def _is_complex_matrix(value, n):
+    return len(value) == n and all(len(row) == n and all(_is_pair(z) for z in row) for row in value)
+
+
+def _floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, list):
+        for item in value:
+            yield from _floats(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _floats(item)
+
+
+def test_json_contract(tmp_path, capsys):
+    """Key order, [re, im] encoding and 15-digit floats of every --json payload."""
+    from luorbits import apply_group_action, random_local_unitary, state_from_dict, state_to_dict
+    payloads, n = [], 4
+    for case in luorbits.ParticleCase:
+        a = write_state(tmp_path, f"{case.value}.json", case.value, n, 3, capsys)
+        moved = apply_group_action(state_from_dict(json.loads(a.read_text())),
+                                   random_local_unitary(case, n, 8))
+        b = tmp_path / f"{case.value}_moved.json"
+        b.write_text(json.dumps(state_to_dict(moved)))
+        paired = case is luorbits.ParticleCase.DISTINGUISHABLE
+
+        code, out, _ = run_cli(capsys, "classify", str(a), "--json")
+        report = json.loads(out)
+        assert code == 0
+        assert list(report) == ["case", "n", "canonical_form", "moment", "invariants", "boundary_gap"]
+        form = report["canonical_form"]
+        assert list(form) == ["lambdas", "residual", "global_phase", "witness_u", "witness_v"]
+        assert _is_pair(form["global_phase"]) and _is_complex_matrix(form["witness_u"], n)
+        assert _is_complex_matrix(form["witness_v"], n) if paired else form["witness_v"] is None
+        assert list(report["moment"]) == ["case", "q", "p"]
+        assert list(report["invariants"]) == STRATUM_KEYS
+        assert all(list(f) == ["kind", "m", "dim"] for f in report["invariants"]["fiber"])
+        payloads.append(report)
+
+        code, out, _ = run_cli(capsys, "compare", str(a), str(b), "--json")
+        verdict = json.loads(out)
+        assert code == 0
+        assert list(verdict) == ["equivalent", "spectral_distance", "witness", "witness_residual", "warnings"]
+        witness = verdict["witness"]
+        assert list(witness) == ["u", "v", "phase"]
+        assert _is_pair(witness["phase"]) and _is_complex_matrix(witness["u"], n)
+        assert _is_complex_matrix(witness["v"], n) if paired else witness["v"] is None
+        payloads.append(verdict)
+
+        code, out, _ = run_cli(capsys, "oracle", str(a), "--json")
+        assert code == 0
+        payloads.append(json.loads(out))
+        assert list(payloads[-1]) == ORACLE_KEYS
+
+    code, out, _ = run_cli(capsys, "strata", "--case", "dist", "--n", "3", "--verify", "--json")
+    listing = json.loads(out)
+    assert code == 0
+    assert list(listing) == ["case", "n", "strata"]
+    assert all(list(row) == STRATUM_KEYS + ["oracle"] for row in listing["strata"])
+    assert all(list(row["oracle"]) == ORACLE_KEYS for row in listing["strata"])
+    payloads.append(listing)
+
+    code, out, _ = run_cli(capsys, "demo", "--json")
+    assert code == 0
+    payloads.append(json.loads(out))
+    assert list(payloads[-1]) == ["spectra_x1", "spectra_x2", "max_spectral_difference",
+                                  "moment_images_equal", "tangle_x1", "tangle_x2", "tangle_gap",
+                                  "distinct_orbits", "conclusion"]
+
+    floats = list(_floats(payloads))
+    assert len(floats) > 100
+    assert all(float(f"{x:.15g}") == x for x in floats)
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -72,6 +72,11 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate([[np.nan, 0], [0, 1]], ParticleCase.BOSON)
 
+    @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["positive", "negative"])
+    def test_integer_beyond_the_float_range(self, big):
+        with pytest.raises(ValidationError, match="finite"):
+            validate([[big, 0], [0, 1]], ParticleCase.BOSON)
+
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9, "loose"])
     def test_bad_tolerance_rejected(self, tol):
         # a NaN tolerance used to pass this skewed matrix off as a boson
@@ -263,6 +268,16 @@ class TestRandomGenerators:
             make(n)
         make(np.int64(3))
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3", None])
+    @pytest.mark.parametrize("make", [
+        lambda seed: random_state(ParticleCase.BOSON, 3, seed),
+        lambda seed: random_local_unitary(ParticleCase.DISTINGUISHABLE, 3, seed),
+    ], ids=["random_state", "random_local_unitary"])
+    def test_seed_must_be_a_nonnegative_integer(self, make, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            make(seed)
+        make(np.int64(0))
+
 
 class TestStateFiles:
     @pytest.mark.parametrize("case", ALL_CASES)
@@ -317,9 +332,11 @@ class TestPublicSurface:
 
     @pytest.mark.parametrize("name", [
         "apply_algebra_action", "NotAntiHermitian", "same_stratum", "polytope_membership", "canonical_matrix",
+        "canonical_to_dict", "moment_to_dict", "verdict_to_dict", "stratum_to_dict", "oracle_to_dict",
+        "check_levels",
     ])
     def test_removed_name_stays_removed(self, name):
         assert name not in luorbits.__all__
         for module in (luorbits, luorbits.canonical, luorbits.equivalence, luorbits.errors,
-                       luorbits.moment, luorbits.states):
+                       luorbits.moment, luorbits.oracle, luorbits.states, luorbits.strata):
             assert not hasattr(module, name)

@@ -59,6 +59,16 @@ class TestMultiplicityVector:
         with pytest.raises(UnsortedInput):
             multiplicity_vector([0.5, -0.1], BOSON)
 
+    @pytest.mark.parametrize("values", [["a", "b"], [0.5 + 1j, 0.5]])
+    def test_non_real_entries_rejected(self, values):
+        with pytest.raises(UnsortedInput, match="real numbers"):
+            multiplicity_vector(values, BOSON)
+
+    @pytest.mark.parametrize("d", [(0,), (3, -1), (), (2.5,)])
+    def test_blocks_must_be_positive_integers(self, d):
+        with pytest.raises(InvalidStratum, match="positive integers"):
+            MultiplicityVector(d, False)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("case", [BOSON, FERMION])
     def test_non_finite_rejected(self, case, bad):
@@ -288,6 +298,14 @@ class TestRepresentativeState:
                 gaps = [a - b for a, b in zip(distinct[:-1], distinct[1:])]
                 if gaps:
                     assert min(gaps) >= 0.05 - 1e-9
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        mv = MultiplicityVector((2, 1), False)
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            representative_state(mv, BOSON, seed)
+        representative_state(mv, BOSON, None)
+        representative_state(mv, BOSON, np.int64(0))
 
     def test_invalid_fermion_parity_rejected(self):
         with pytest.raises(InvalidStratum):
