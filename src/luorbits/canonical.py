@@ -8,12 +8,12 @@ unitary witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, SymmetryViolation
-from .states import ParticleCase, QuantumState
+from .errors import ConvergenceFailure, NonSquareInput, SymmetryViolation, ValidationError
+from .states import ParticleCase, QuantumState, into_special_unitary
 
 # Numeric cluster threshold of the congruence forms, relative to s0; it is
 # not the semantic stratum tolerance.  A singleton's phase fix is off by about
@@ -27,7 +27,7 @@ SYMMETRY_PRE_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class CanonicalForm:
-    """Slice representative, SU(N) witnesses, and the reconstruction residual.
+    """Slice representative and SU(N) witnesses, stored; the residual on access.
 
     The original coefficients satisfy C = global_phase * (witness reconstruction)
     up to ``residual`` in Frobenius norm.
@@ -39,7 +39,12 @@ class CanonicalForm:
     witness_u: np.ndarray
     witness_v: np.ndarray | None
     global_phase: complex
-    residual: float
+    _coeffs: np.ndarray = field(repr=False)  # the state's own read-only C
+
+    @property
+    def residual(self) -> float:
+        """Frobenius norm of C - reconstruct(self)."""
+        return float(np.linalg.norm(self._coeffs - reconstruct(self)))
 
 
 def cluster_bounds(values, cluster_tol: float) -> list[int]:
@@ -137,36 +142,45 @@ def _congruence_basis(v, s, wh, sign: int, n_live: int) -> np.ndarray:
     return u
 
 
-def _congruence_form(c, sign: int):
-    """Factor a sign-symmetric matrix as c = U core U^t; returns (U, s).
+def _congruence_form(c, sign: int | None):
+    """Factor c = U core W^t from one SVD; returns (U, s, W), W None for sign +-1.
 
-    s holds all N singular values, descending; the core is diag(s) for sign
-    +1 and sum_j s_2j J_2 for sign -1.
+    sign +1: c symmetric, core diag(s), W = U.  sign -1: c antisymmetric,
+    core sum_j s_2j J_2, W = U.  sign None: any square c, core diag(s), and
+    U, W from the SVD itself.  s holds all N singular values, descending, with
+    those at or below SNAP_TOL * s0 set to zero; the factorization returned is
+    the one checked against 1e-10 * max(1, s0).
     """
-    label, kind = ("takagi", "symmetric") if sign > 0 else ("youla", "antisymmetric")
+    label = {1: "takagi", -1: "youla", None: "svd"}[sign]
     c = np.asarray(c, dtype=complex)
-    if np.linalg.norm(c - sign * c.T) > SYMMETRY_PRE_TOL * np.linalg.norm(c):
-        raise SymmetryViolation(f"matrix is not {kind} within {SYMMETRY_PRE_TOL:g} relative")
-    c = (c + sign * c.T) / 2.0
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
+        raise NonSquareInput(f"{label}: expected a nonempty square matrix, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValidationError(f"{label}: matrix entries must be finite")
+    if sign is not None:
+        if np.linalg.norm(c - sign * c.T) > SYMMETRY_PRE_TOL * np.linalg.norm(c):
+            kind = "symmetric" if sign > 0 else "antisymmetric"
+            raise SymmetryViolation(f"matrix is not {kind} within {SYMMETRY_PRE_TOL:g} relative")
+        c = (c + sign * c.T) / 2.0
     n = c.shape[0]
     try:
         v, s, wh = np.linalg.svd(c)
-        if s[0] == 0.0:
-            return np.eye(n, dtype=complex), s
         n_live = int(np.count_nonzero(s > SNAP_TOL * s[0]))
-        if sign > 0:
-            accept = 1e-10 * max(1.0, s[0])
-        else:
+        if sign == -1:
             n_live += n_live % 2  # a pair straddling the snap stays whole
-            accept = 1e-10 * max(1.0, float(np.linalg.norm(s)))
-            core = fermion_pair_matrix(s[: 2 * (n // 2) : 2], n)
-        u = _congruence_basis(v, s, wh, sign, n_live)
+        s[n_live:] = 0.0
+        if sign is None:
+            u, right = v, wh
+        else:
+            u = _congruence_basis(v, s, wh, sign, n_live) if n_live else v
+            right = u.T
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"{label}: {exc}") from exc
-    left = u * s if sign > 0 else u @ core
-    residual = np.linalg.norm(c - left @ u.T)
+    left = u @ fermion_pair_matrix(s[: 2 * (n // 2) : 2], n) if sign == -1 else u * s
+    residual = np.linalg.norm(c - left @ right)
+    accept = 1e-10 * max(1.0, s[0])
     if residual <= accept:
-        return u, s
+        return u, s, (right.T if sign is None else None)
     raise ConvergenceFailure(f"{label} residual {residual:.3e} above tolerance {accept:.3e}")
 
 
@@ -176,7 +190,7 @@ def takagi(c):
     Returns (U, lam) with U unitary and lam the singular values of c in
     descending order.
     """
-    return _congruence_form(c, 1)
+    return _congruence_form(c, 1)[:2]
 
 
 def youla_antisymmetric(c):
@@ -185,18 +199,13 @@ def youla_antisymmetric(c):
     Returns (U, lam) with lam of length floor(N/2) sorted descending; each
     lam_j is a doubled singular value of c (Youla 1961).
     """
-    u, s = _congruence_form(c, -1)
+    u, s, _ = _congruence_form(c, -1)
     return u, s[: 2 * (len(s) // 2) : 2]
 
 
 def svd_congruence(c):
     """Two-sided diagonalization c = U diag(lam) V^t with lam descending."""
-    c = np.asarray(c, dtype=complex)
-    try:
-        u, s, vh = np.linalg.svd(c)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"svd: {exc}") from exc
-    return u, s, vh.T
+    return _congruence_form(c, None)
 
 
 def fermion_pair_matrix(lam, n: int) -> np.ndarray:
@@ -207,13 +216,6 @@ def fermion_pair_matrix(lam, n: int) -> np.ndarray:
     out[2 * idx, 2 * idx + 1] = lam
     out[2 * idx + 1, 2 * idx] = -lam
     return out
-
-
-def _into_special_unitary(u: np.ndarray):
-    """Rescale a unitary into SU(N); returns (u * z, z) with det(u * z) = 1."""
-    det = np.linalg.det(u)
-    z = det ** (-1.0 / u.shape[0])
-    return u * z, z
 
 
 def reconstruct(cf: CanonicalForm) -> np.ndarray:
@@ -240,28 +242,18 @@ def canonicalize(state: QuantumState) -> CanonicalForm:
 
 def _canonical_form(state: QuantumState) -> CanonicalForm:
     c = state.coeffs
-    n = state.n_levels
     if state.case is ParticleCase.BOSON:
-        u, lam = takagi(c)
-        v = None
+        (u, lam), v = takagi(c), None
     elif state.case is ParticleCase.FERMION:
-        u, lam = youla_antisymmetric(c)
-        v = None
+        (u, lam), v = youla_antisymmetric(c), None
     else:
         u, lam, v = svd_congruence(c)
-    lam = lam.copy()
-    if lam[0] > 0.0:
-        lam[lam < SNAP_TOL * lam[0]] = 0.0
-    u, zu = _into_special_unitary(u)
+    u, zu = into_special_unitary(u)
     phase = zu ** -2
     if v is not None:
-        v, zv = _into_special_unitary(v)
+        v, zv = into_special_unitary(v)
         phase = 1.0 / (zu * zv)
         v.setflags(write=False)
     u.setflags(write=False)
     lam.setflags(write=False)
-    cf = CanonicalForm(state.case, n, lam, u, v, complex(phase), 0.0)
-    residual = float(np.linalg.norm(c - reconstruct(cf)))
-    if residual > 1e-9:
-        raise ConvergenceFailure(f"canonical reconstruction residual {residual:.3e}")
-    return CanonicalForm(state.case, n, lam, u, v, complex(phase), residual)
+    return CanonicalForm(state.case, state.n_levels, lam, u, v, complex(phase), c)

@@ -173,28 +173,24 @@ def oracle_check(
 # ---------------------------------------------------------------------------
 
 
+def _det2(m: np.ndarray) -> complex:
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
 def three_tangle(tensor) -> float:
     """Three-qubit tangle: four times the modulus of the 2x2x2 hyperdeterminant."""
     t = np.asarray(tensor, dtype=complex)
     if t.shape != (2, 2, 2):
         raise ValidationError("three_tangle needs a 2x2x2 coefficient tensor")
+    if not np.all(np.isfinite(t)):
+        raise ValidationError("three_tangle needs finite entries")
     norm2 = np.real(np.vdot(t, t))
     if norm2 == 0.0:
         raise ValidationError("zero tensor")
-    det = (
-        t[0, 0, 0] ** 2 * t[1, 1, 1] ** 2
-        + t[0, 0, 1] ** 2 * t[1, 1, 0] ** 2
-        + t[0, 1, 0] ** 2 * t[1, 0, 1] ** 2
-        + t[1, 0, 0] ** 2 * t[0, 1, 1] ** 2
-        - 2 * t[0, 0, 0] * t[0, 0, 1] * t[1, 1, 0] * t[1, 1, 1]
-        - 2 * t[0, 0, 0] * t[0, 1, 0] * t[1, 0, 1] * t[1, 1, 1]
-        - 2 * t[0, 0, 0] * t[0, 1, 1] * t[1, 0, 0] * t[1, 1, 1]
-        - 2 * t[0, 0, 1] * t[0, 1, 0] * t[1, 0, 1] * t[1, 1, 0]
-        - 2 * t[0, 0, 1] * t[0, 1, 1] * t[1, 1, 0] * t[1, 0, 0]
-        - 2 * t[0, 1, 0] * t[0, 1, 1] * t[1, 0, 1] * t[1, 0, 0]
-        + 4 * t[0, 0, 0] * t[0, 1, 1] * t[1, 0, 1] * t[1, 1, 0]
-        + 4 * t[0, 0, 1] * t[0, 1, 0] * t[1, 0, 0] * t[1, 1, 1]
-    )
+    # Cayley's hyperdeterminant: the discriminant b^2 - 4ac of det(t[0] + x t[1])
+    a, c = _det2(t[0]), _det2(t[1])
+    b = _det2(t[0] + t[1]) - a - c
+    det = b * b - 4.0 * a * c
     return float(4.0 * abs(det) / norm2**2)
 
 

@@ -37,15 +37,10 @@ class ParticleCase(enum.Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "ParticleCase":
-        for case in cls:
-            if case.value == label:
-                return case
-        raise ParseError(f"unknown particle case {label!r}; expected boson, fermion or dist")
-
-    @property
-    def diagonal_action(self) -> bool:
-        """True when a single unitary acts by congruence (bosons, fermions)."""
-        return self is not ParticleCase.DISTINGUISHABLE
+        try:
+            return cls(label)
+        except ValueError:
+            raise ParseError(f"unknown particle case {label!r}; expected boson, fermion or dist") from None
 
     @property
     def symmetry_sign(self) -> int | None:
@@ -160,9 +155,9 @@ def apply_group_action(state: QuantumState, g: LocalUnitary) -> QuantumState:
     """Return the state with coefficients U C U^t, or U C V^t when distinguishable."""
     _check_compatible(state, g)
     c = state.coeffs
-    if state.case.diagonal_action:
+    sign = state.case.symmetry_sign
+    if sign is not None:
         out = g.u @ c @ g.u.T
-        sign = state.case.symmetry_sign
         out = (out + sign * out.T) / 2.0
     else:
         out = g.u @ c @ g.v.T
@@ -186,9 +181,13 @@ def haar_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    det = np.linalg.det(q)
-    return q * det ** (-1.0 / n)
+    return into_special_unitary(q * (d / np.abs(d)))[0]
+
+
+def into_special_unitary(u: np.ndarray):
+    """Rescale a unitary into SU(N); returns (u * z, z) with det(u * z) = 1."""
+    z = np.linalg.det(u) ** (-1.0 / u.shape[0])
+    return u * z, z
 
 
 def random_local_unitary(case: ParticleCase, n: int, seed: int) -> LocalUnitary:

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from luorbits import (
     ConvergenceFailure,
     LocalUnitary,
+    NonSquareInput,
     ParticleCase,
     SymmetryViolation,
+    ValidationError,
     apply_group_action,
     canonicalize,
     fermion_pair_matrix,
@@ -475,6 +477,76 @@ class TestCanonicalize:
             n = int(rng.integers(2, 9))
             s = random_state(case, n, int(rng.integers(2**31)))
             assert canonicalize(s).residual <= 1e-9
+
+
+class TestOneAcceptanceCheck:
+    """Each form is checked once, inside the decomposition, on the factors it returns."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("decompose, matrix", [
+        (takagi, lambda x: [[x, 0.0], [0.0, 1.0]]),
+        (youla_antisymmetric, lambda x: [[0.0, x], [-x, 0.0]]),
+        (svd_congruence, lambda x: [[x, 0.0], [0.0, 1.0]]),
+    ])
+    def test_non_finite_input_rejected(self, decompose, matrix, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            decompose(np.array(matrix(bad)))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2), (0, 0)])
+    @pytest.mark.parametrize("decompose", [takagi, youla_antisymmetric, svd_congruence])
+    def test_non_square_input_rejected(self, decompose, shape):
+        with pytest.raises(NonSquareInput, match="square"):
+            decompose(np.zeros(shape))
+
+    def test_dist_factors_off_by_5e_10_rejected(self, monkeypatch):
+        # factors 5e-10 off C pass a 1e-9 bar; the one check applies 1e-10 to every case
+        s = random_state(ParticleCase.DISTINGUISHABLE, 4, 0)
+        svd = np.linalg.svd
+
+        def off_by(*args, **kwargs):
+            if not kwargs.get("compute_uv", True):
+                return svd(*args, **kwargs)
+            u, sv, vh = svd(*args, **kwargs)
+            sv[0] += 5e-10
+            return u, sv, vh
+
+        monkeypatch.setattr(np.linalg, "svd", off_by)
+        for step in (lambda: canonicalize(s), lambda: svd_congruence(s.coeffs)):
+            with pytest.raises(ConvergenceFailure, match="above tolerance 1.000e-10"):
+                step()
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_residual_measured_on_access(self, case, monkeypatch):
+        calls = []
+        rebuild = canonical_module.reconstruct
+
+        def counted(cf):
+            calls.append(1)
+            return rebuild(cf)
+
+        monkeypatch.setattr(canonical_module, "reconstruct", counted)
+        s = random_state(case, 5, 3)
+        cf = canonicalize(s)
+        assert calls == []
+        assert cf.residual == np.linalg.norm(s.coeffs - rebuild(cf))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_residual_is_the_reconstruction_error(self, case):
+        for seed in range(5):
+            s = random_state(case, 2 + seed, seed)
+            cf = canonicalize(s)
+            assert cf.residual == np.linalg.norm(s.coeffs - reconstruct(cf))
+
+    def test_values_at_the_snap_are_exact_zeros(self):
+        c = np.diag([1.0, 1e-13])
+        u, lam = takagi(c)
+        assert lam[-1] == 0.0 and np.linalg.norm(c - (u * lam) @ u.T) <= 1e-12
+        c = fermion_pair_matrix([1.0, 1e-13], 4)
+        u, lam = youla_antisymmetric(c)
+        assert lam[-1] == 0.0 and np.linalg.norm(c - u @ fermion_pair_matrix(lam, 4) @ u.T) <= 1e-12
+        u, lam, v = svd_congruence(c)
+        assert lam[-2:].tolist() == [0.0, 0.0] and np.linalg.norm(c - (u * lam) @ v.T) <= 1e-12
 
 
 class TestStoredForms:

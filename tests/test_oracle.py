@@ -318,6 +318,14 @@ class TestThreeTangle:
             t = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
             assert 0.0 <= three_tangle(t) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tensor_rejected(self, bad):
+        t = np.zeros((2, 2, 2), dtype=complex)
+        t[0, 0, 0] = 1.0
+        for tensor in (np.full((2, 2, 2), bad), np.where(t == 0.0, t, bad)):
+            with pytest.raises(ValidationError, match="finite"):
+                three_tangle(tensor)
+
 
 class TestCounterexample:
     def test_equal_single_site_spectra(self):

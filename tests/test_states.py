@@ -294,6 +294,11 @@ class TestStateFiles:
         with pytest.raises(ParseError):
             state_from_dict({"case": "anyon", "n": 2, "matrix": [[[1, 0]] * 2] * 2})
 
+    @pytest.mark.parametrize("label", ["bosons", ["boson"], None])
+    def test_near_miss_or_unhashable_case_label(self, label):
+        with pytest.raises(ParseError, match="unknown particle case"):
+            state_from_dict({"case": label, "n": 2, "matrix": [[[1, 0]] * 2] * 2})
+
     def test_ragged_rows(self):
         with pytest.raises(ParseError):
             state_from_dict({"case": "boson", "n": 2, "matrix": [[[1, 0], [0, 0]], [[0, 0]]]})
