@@ -56,7 +56,6 @@ from .strata import (
     enumerate_strata,
     fiber_structure,
     flag_dimension,
-    multiplicity_vector,
     orbit_invariants,
     representative_state,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "fiber_structure",
     "flag_dimension",
     "lu_equivalent",
-    "multiplicity_vector",
     "oracle_check",
     "orbit_invariants",
     "random_local_unitary",

@@ -98,7 +98,7 @@ def _cmd_classify(args) -> int:
     state = _load_state(args.path, args.tol)
     cf = canonicalize(state)
     image = reduced_matrix(state)
-    inv = orbit_invariants(cf, args.cluster_tol)
+    inv = orbit_invariants(image, args.cluster_tol)
     if args.json:
         form = {"lambdas": cf.lambdas, "residual": cf.residual, "global_phase": cf.global_phase,
                 "witness_u": cf.witness_u, "witness_v": cf.witness_v}

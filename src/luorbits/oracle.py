@@ -179,14 +179,19 @@ def _det2(m: np.ndarray) -> complex:
 
 def three_tangle(tensor) -> float:
     """Three-qubit tangle: four times the modulus of the 2x2x2 hyperdeterminant."""
-    t = np.asarray(tensor, dtype=complex)
+    t = np.array(tensor, dtype=complex)  # a C-ordered copy, so it has a float view
     if t.shape != (2, 2, 2):
         raise ValidationError("three_tangle needs a 2x2x2 coefficient tensor")
     if not np.all(np.isfinite(t)):
         raise ValidationError("three_tangle needs finite entries")
-    norm2 = np.real(np.vdot(t, t))
-    if norm2 == 0.0:
+    # the tangle is scale-free: bring the largest real or imaginary part into
+    # [1/2, 1) by a power of two, which is exact and keeps every product finite
+    parts = t.view(float)
+    top = np.abs(parts).max()
+    if top == 0.0:
         raise ValidationError("zero tensor")
+    t = np.ldexp(parts, -np.frexp(top)[1]).view(complex)
+    norm2 = np.real(np.vdot(t, t))
     # Cayley's hyperdeterminant: the discriminant b^2 - 4ac of det(t[0] + x t[1])
     a, c = _det2(t[0]), _det2(t[1])
     b = _det2(t[0] + t[1]) - a - c

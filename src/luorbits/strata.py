@@ -104,39 +104,8 @@ class OrbitInvariants:
     boundary_gap: float | None = None
 
 
-def _cluster(values: np.ndarray, cluster_tol: float):
-    """Sizes of equal-value blocks plus whether the trailing block is zero."""
-    vmax = values[0]
-    bounds = cluster_bounds(values, cluster_tol)
-    sizes = [hi - lo for lo, hi in zip(bounds[:-1], bounds[1:])]
-    zero_last = bool(values[-1] <= cluster_tol * vmax)
-    # distance to the nearest coarser stratum: merge two blocks, or drop the
-    # smallest block to zero when the state is full rank
-    candidates = [float(values[pos - 1] - values[pos]) / vmax for pos in bounds[1:-1]]
-    if not zero_last:
-        candidates.append(float(values[bounds[-2]]) / vmax)
-    return sizes, zero_last, min(candidates) if candidates else float(values[0]) / vmax
-
-
-def multiplicity_vector(
-    values,
-    case: ParticleCase,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    n_levels: int | None = None,
-) -> MultiplicityVector:
-    """Cluster a sorted spectrum into the multiplicity vector d.
-
-    ``values`` holds probabilities for bosons/distinguishable (length N) and
-    the lambda vector for fermions (length floor(N/2), multiplicities doubled,
-    with the forced zero of odd N merged into the final block).  Fermions
-    require ``n_levels`` to fix the parity of N.
-    """
-    return _multiplicity(values, case, cluster_tol, n_levels)[0]
-
-
-def _multiplicity(values, case: ParticleCase, cluster_tol: float, n_levels: int | None):
-    """``multiplicity_vector`` together with the boundary gap of ``_cluster``."""
-    check_tolerance("cluster_tol", cluster_tol, positive=True)
+def _checked_spectrum(values) -> np.ndarray:
+    """A finite, descending, nonnegative float vector; entries within the sort slack of 0 become 0."""
     try:
         values = np.asarray(values, dtype=float)
     except (ValueError, TypeError):
@@ -151,22 +120,31 @@ def _multiplicity(values, case: ParticleCase, cluster_tol: float, n_levels: int 
     values = np.maximum(values, 0.0)
     if values[0] <= 0.0:
         raise InvalidStratum("all-zero spectrum describes the zero state")
-    if case is not ParticleCase.FERMION:
-        sizes, zero_last, gap = _cluster(values, cluster_tol)
-        return MultiplicityVector(tuple(sizes), zero_last), gap
-    if n_levels is None:
-        raise ValidationError("fermion multiplicity needs n_levels")
-    if len(values) != n_levels // 2:
-        raise ValidationError(f"expected {n_levels // 2} lambdas for N={n_levels}")
-    sizes, zero_last, gap = _cluster(values, cluster_tol)
-    d = [2 * size for size in sizes]
-    if n_levels % 2 == 1:
-        if zero_last:
-            d[-1] += 1
-        else:
-            d.append(1)
-        return MultiplicityVector(tuple(d), True), gap
-    return MultiplicityVector(tuple(d), zero_last), gap
+    return values
+
+
+def _multiplicity(values: np.ndarray, case: ParticleCase, cluster_tol: float, n_levels: int):
+    """Multiplicity vector of a checked spectrum, and its boundary gap.
+
+    ``values`` is p, or for fermions the floor(N/2) lambdas: their blocks
+    count double, and the forced zero of odd N joins the final block.
+    """
+    vmax = values[0]
+    bounds = cluster_bounds(values, cluster_tol)
+    sizes = [hi - lo for lo, hi in zip(bounds[:-1], bounds[1:])]
+    zero_last = bool(values[-1] <= cluster_tol * vmax)
+    # distance to the nearest coarser stratum: merge two blocks, or drop the
+    # smallest block to zero when the state is full rank
+    candidates = [float(values[pos - 1] - values[pos]) / vmax for pos in bounds[1:-1]]
+    if not zero_last:
+        candidates.append(float(values[bounds[-2]]) / vmax)
+    gap = min(candidates) if candidates else float(values[0]) / vmax
+    if case is ParticleCase.FERMION:
+        sizes = [2 * size for size in sizes]
+        if n_levels % 2 == 1:
+            sizes = sizes[:-1] + [sizes[-1] + 1] if zero_last else sizes + [1]
+            zero_last = True
+    return MultiplicityVector(tuple(sizes), zero_last), gap
 
 
 def flag_dimension(mv: MultiplicityVector, case: ParticleCase) -> int:
@@ -206,25 +184,33 @@ def invariants_for(
 
 
 def orbit_invariants(
-    source: CanonicalForm | MomentImage, cluster_tol: float = DEFAULT_CLUSTER_TOL
+    source: MomentImage | CanonicalForm, cluster_tol: float = DEFAULT_CLUSTER_TOL
 ) -> OrbitInvariants:
-    """Classify a canonical form or a moment image into its stratum and compute its dimensions.
+    """Classify a moment image into its stratum and compute its dimensions.
 
-    A fermion moment image is clustered on sqrt(p) at every other entry: for
-    a unit-norm state these are the Youla lambdas, so ``cluster_tol`` means
-    the same for both sources.
+    A fermion image is clustered on sqrt(p) at every other entry, the Youla
+    lambdas of a unit-norm state, so ``cluster_tol`` and ``boundary_gap``
+    are measured on the lambdas.  A ``CanonicalForm`` (clustered on
+    lambda^2 / sum, fermions on the lambdas) is still accepted only because
+    the benchmark harness classifies forms; it goes once that passes images.
     """
-    fermion = source.case is ParticleCase.FERMION
+    check_tolerance("cluster_tol", cluster_tol, positive=True)
+    case, n = source.case, source.n_levels
     if isinstance(source, MomentImage):
-        p = source.probabilities
-        values = np.sqrt(p[: 2 * (source.n_levels // 2) : 2]) if fermion else p
-    elif fermion:
-        values = source.lambdas
+        if not isinstance(case, ParticleCase):
+            raise ValidationError(f"case must be a ParticleCase, got {case!r}")
+        check_integer("n_levels", n, 2)
+        p = _checked_spectrum(source.probabilities)
+        if len(p) != n:
+            raise ValidationError(f"expected {n} probabilities p for N={n}, got {len(p)}")
+        values = np.sqrt(p[: 2 * (n // 2) : 2]) if case is ParticleCase.FERMION else p
+    elif case is ParticleCase.FERMION:
+        values = _checked_spectrum(source.lambdas)
     else:
         p = source.lambdas**2
-        values = p / p.sum()
-    mv, gap = _multiplicity(values, source.case, cluster_tol, source.n_levels)
-    return invariants_for(mv, source.case, boundary_gap=gap)
+        values = _checked_spectrum(p / p.sum())
+    mv, gap = _multiplicity(values, case, cluster_tol, n)
+    return invariants_for(mv, case, boundary_gap=gap)
 
 
 def _compositions(total: int):

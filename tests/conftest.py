@@ -19,6 +19,11 @@ def assert_special_unitary(u, tol=1e-10):
     assert abs(np.linalg.det(u) - 1.0) <= tol
 
 
+def reduced_density(c):
+    """rho = C C^dag / Tr(C^dag C), the left one-particle reduced matrix; pass C^t for the right one."""
+    return c @ c.conj().T / np.vdot(c, c).real
+
+
 def group_action_derivative(state, xi, t=1e-5):
     """Central finite difference of the group action along exp(t xi)."""
     if state.case is ParticleCase.DISTINGUISHABLE:

@@ -11,6 +11,7 @@ import pytest
 
 import luorbits
 from luorbits.cli import main
+from luorbits.states import haar_special_unitary
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +187,34 @@ class TestStrata:
         code, _, err = run_cli(capsys, "strata", "--case", "boson", "--n", "30", "--verify")
         assert code == 3
         assert "listings stop at" in err
+
+
+class TestOneStratumRoute:
+    @pytest.mark.parametrize("case", ["boson", "fermion", "dist"])
+    def test_classify_and_oracle_agree_at_a_twilight_gap(self, case, tmp_path, capsys):
+        # two values a relative gap g ~ cluster_tol apart: clustering the
+        # canonical lambdas and clustering the moment spectrum round
+        # differently here, so both commands must read the same source
+        particle = luorbits.ParticleCase.from_label(case)
+        disagree = []
+        for j in range(-30, 30):
+            g = 1e-8 * (1 + j * 2e-9)
+            if particle is luorbits.ParticleCase.FERMION:
+                c = luorbits.fermion_pair_matrix([1.0, 1.0 - g, 0.5], 6)
+            else:
+                c = np.diag(np.sqrt([0.4, 0.4 * (1 - g), 0.15, 0.05]))
+            rng = np.random.default_rng(j + 200)
+            u = haar_special_unitary(len(c), rng)
+            v = haar_special_unitary(len(c), rng) if particle is luorbits.ParticleCase.DISTINGUISHABLE else u
+            state = luorbits.validate(u @ c @ v.T, particle)
+            path = tmp_path / f"{case}{j}.json"
+            path.write_text(json.dumps(luorbits.state_to_dict(state)))
+            _, out, _ = run_cli(capsys, "classify", str(path), "--json")
+            classified = json.loads(out)["invariants"]["orbit_dim"]
+            _, out, _ = run_cli(capsys, "oracle", str(path), "--json")
+            if classified != json.loads(out)["formula_orbit_dim"]:
+                disagree.append(j)
+        assert disagree == []
 
 
 class TestOracleCommand:

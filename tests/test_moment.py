@@ -1,11 +1,14 @@
 """Tests for reduced matrices and moment spectra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luorbits import (
+    MomentImage,
     ParticleCase,
     apply_group_action,
     fermion_pair_matrix,
@@ -14,7 +17,7 @@ from luorbits import (
     reduced_matrix,
     validate,
 )
-from conftest import ALL_CASES
+from conftest import ALL_CASES, reduced_density
 
 
 class TestReducedMatrix:
@@ -33,8 +36,8 @@ class TestReducedMatrix:
     def test_bell_state(self):
         s = validate(np.eye(2), ParticleCase.DISTINGUISHABLE)
         image = reduced_matrix(s)
-        np.testing.assert_allclose(image.rho_left, np.eye(2) / 2, atol=1e-14)
-        np.testing.assert_allclose(image.rho_right, np.eye(2) / 2, atol=1e-14)
+        np.testing.assert_allclose(reduced_density(s.coeffs), np.eye(2) / 2, atol=1e-14)
+        np.testing.assert_allclose(reduced_density(s.coeffs.T), np.eye(2) / 2, atol=1e-14)
         np.testing.assert_allclose(image.q_spectrum, [0.0, 0.0], atol=1e-14)
 
     @pytest.mark.parametrize("case", ALL_CASES)
@@ -42,17 +45,19 @@ class TestReducedMatrix:
         for seed in range(5):
             s = random_state(case, 5, seed)
             image = reduced_matrix(s)
-            assert abs(np.trace(image.rho_left).real - 1.0) <= 1e-12
-            assert np.linalg.norm(image.rho_left - image.rho_left.conj().T) <= 1e-14
-            assert np.min(np.linalg.eigvalsh(image.rho_left)) >= -1e-12
+            rho = reduced_density(s.coeffs)
+            eigs = np.linalg.eigvalsh(rho)
+            assert abs(np.trace(rho).real - 1.0) <= 1e-12
+            assert np.linalg.norm(rho - rho.conj().T) <= 1e-14
+            assert np.min(eigs) >= -1e-12
             assert abs(image.q_spectrum.sum()) <= 1e-12
+            np.testing.assert_allclose(eigs[::-1], image.probabilities, atol=1e-12)
 
     def test_distinguishable_left_right_spectra_agree(self):
         for seed in range(10):
-            s = random_state(ParticleCase.DISTINGUISHABLE, 4, seed)
-            image = reduced_matrix(s)
-            left = np.sort(np.linalg.eigvalsh(image.rho_left))
-            right = np.sort(np.linalg.eigvalsh(image.rho_right))
+            c = random_state(ParticleCase.DISTINGUISHABLE, 4, seed).coeffs
+            left = np.sort(np.linalg.eigvalsh(reduced_density(c)))
+            right = np.sort(np.linalg.eigvalsh(reduced_density(c.T)))
             np.testing.assert_allclose(left, right, atol=1e-10)
 
     @pytest.mark.parametrize("case", [ParticleCase.BOSON, ParticleCase.FERMION])
@@ -64,6 +69,9 @@ class TestReducedMatrix:
             left = np.sort(np.linalg.eigvalsh(c @ c.conj().T))
             right = np.sort(np.linalg.eigvalsh(c.conj().T @ c))
             np.testing.assert_allclose(left, right, atol=1e-12)
+
+    def test_the_image_is_case_n_and_p(self):
+        assert [f.name for f in dataclasses.fields(MomentImage)] == ["case", "n_levels", "probabilities"]
 
 
 class TestSmallProbabilities:

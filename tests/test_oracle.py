@@ -326,6 +326,22 @@ class TestThreeTangle:
             with pytest.raises(ValidationError, match="finite"):
                 three_tangle(tensor)
 
+    def test_scale_free(self):
+        t = np.zeros((2, 2, 2), dtype=complex)
+        t[0, 0, 0] = np.sqrt(2 / 3)
+        t[1, 1, 1] = np.sqrt(1 / 3)
+        unit = three_tangle(t)
+        for k in (600, -600):
+            assert three_tangle(t * 2.0**k) == unit
+        for scale in (1e160, 1e-160, 1e200, 1e-200):
+            assert three_tangle(t * scale) == pytest.approx(unit, rel=0, abs=1e-15)
+        with pytest.raises(ValidationError, match="zero tensor"):
+            three_tangle(np.zeros((2, 2, 2)))
+
+    def test_demo_tangles_unchanged(self):
+        report = counterexample_demo()
+        assert (report["tangle_x1"], report["tangle_x2"]) == (0.8888888888888888, 0.0)
+
 
 class TestCounterexample:
     def test_equal_single_site_spectra(self):

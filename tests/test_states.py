@@ -338,7 +338,7 @@ class TestPublicSurface:
     @pytest.mark.parametrize("name", [
         "apply_algebra_action", "NotAntiHermitian", "same_stratum", "polytope_membership", "canonical_matrix",
         "canonical_to_dict", "moment_to_dict", "verdict_to_dict", "stratum_to_dict", "oracle_to_dict",
-        "check_levels",
+        "check_levels", "multiplicity_vector",
     ])
     def test_removed_name_stays_removed(self, name):
         assert name not in luorbits.__all__

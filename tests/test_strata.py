@@ -5,6 +5,7 @@ import pytest
 
 from luorbits import (
     InvalidStratum,
+    MomentImage,
     MultiplicityVector,
     ParticleCase,
     UnsortedInput,
@@ -14,7 +15,6 @@ from luorbits import (
     enumerate_strata,
     fiber_structure,
     flag_dimension,
-    multiplicity_vector,
     orbit_invariants,
     random_local_unitary,
     reduced_matrix,
@@ -22,7 +22,7 @@ from luorbits import (
     validate,
 )
 from luorbits.canonical import cluster_bounds
-from luorbits.strata import group_su_factor, sym_so_factor, sym_usp_factor, torus_factor
+from luorbits.strata import DEFAULT_CLUSTER_TOL, group_su_factor, sym_so_factor, sym_usp_factor, torus_factor
 from conftest import ALL_CASES
 
 BOSON = ParticleCase.BOSON
@@ -30,39 +30,49 @@ FERMION = ParticleCase.FERMION
 DIST = ParticleCase.DISTINGUISHABLE
 
 
+def blocks(case, n, p, cluster_tol=DEFAULT_CLUSTER_TOL):
+    """The multiplicity vector of a raw spectrum, handed over as a moment image."""
+    return orbit_invariants(MomentImage(case, n, p), cluster_tol).d
+
+
+def fermion_p(lambdas, n):
+    """The fermion image of a lambda vector: each lambda^2 twice, then 0 for odd N."""
+    return np.concatenate([np.repeat(np.square(lambdas), 2), np.zeros(n % 2)])
+
+
 class TestMultiplicityVector:
     def test_all_distinct(self):
-        mv = multiplicity_vector([0.5, 0.3, 0.2], BOSON)
+        mv = blocks(BOSON, 3, [0.5, 0.3, 0.2])
         assert mv == MultiplicityVector((1, 1, 1), False)
 
     def test_zero_block(self):
-        mv = multiplicity_vector([0.5, 0.5, 0.0], BOSON)
+        mv = blocks(BOSON, 3, [0.5, 0.5, 0.0])
         assert mv == MultiplicityVector((2, 1), True)
 
     def test_fermion_doubling_with_forced_zero(self):
-        mv = multiplicity_vector(np.sqrt([0.3, 0.2]), FERMION, n_levels=5)
+        mv = blocks(FERMION, 5, fermion_p(np.sqrt([0.3, 0.2]), 5))
         assert mv == MultiplicityVector((2, 2, 1), True)
 
     def test_fermion_even(self):
-        mv = multiplicity_vector([0.6, 0.6, 0.2], FERMION, n_levels=6)
+        mv = blocks(FERMION, 6, fermion_p([0.6, 0.6, 0.2], 6))
         assert mv == MultiplicityVector((4, 2), False)
 
     def test_fermion_odd_zero_lambda_merges(self):
-        mv = multiplicity_vector([0.9, 0.0], FERMION, n_levels=5)
+        mv = blocks(FERMION, 5, fermion_p([0.9, 0.0], 5))
         assert mv == MultiplicityVector((2, 3), True)
 
     def test_unsorted_rejected(self):
         with pytest.raises(UnsortedInput):
-            multiplicity_vector([0.2, 0.5], BOSON)
+            blocks(BOSON, 2, [0.2, 0.5])
 
     def test_negative_rejected(self):
         with pytest.raises(UnsortedInput):
-            multiplicity_vector([0.5, -0.1], BOSON)
+            blocks(BOSON, 2, [0.5, -0.1])
 
     @pytest.mark.parametrize("values", [["a", "b"], [0.5 + 1j, 0.5]])
     def test_non_real_entries_rejected(self, values):
         with pytest.raises(UnsortedInput, match="real numbers"):
-            multiplicity_vector(values, BOSON)
+            blocks(BOSON, 2, values)
 
     @pytest.mark.parametrize("d", [(0,), (3, -1), (), (2.5,)])
     def test_blocks_must_be_positive_integers(self, d):
@@ -72,12 +82,37 @@ class TestMultiplicityVector:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("case", [BOSON, FERMION])
     def test_non_finite_rejected(self, case, bad):
+        image = (4, fermion_p([bad, 0.5], 4)) if case is FERMION else (2, [bad, 0.5])
         with pytest.raises(UnsortedInput, match="NaN or Inf"):
-            multiplicity_vector([bad, 0.5], case, n_levels=4)
+            blocks(case, *image)
+
+    @pytest.mark.parametrize("p", [[0.6, 0.6, -0.1, -0.1], [0.1, 0.1, 0.6, 0.6], [0.6, 0.6, 0.2, 0.3]])
+    def test_malformed_fermion_image_rejected_before_the_square_root(self, p):
+        # under the suite's warnings-as-errors filter, a numpy warning from
+        # sqrt of a negative entry would surface as a RuntimeWarning instead
+        with pytest.raises(UnsortedInput, match="sorted descending and nonnegative"):
+            blocks(FERMION, 4, p)
+
+    @pytest.mark.parametrize("case, n, p", [(FERMION, 4, [0.5, 0.5]), (FERMION, 5, [0.5, 0.5, 0.0, 0.0]),
+                                            (BOSON, 3, [0.5, 0.5]), (DIST, 2, [0.5, 0.3, 0.2])])
+    def test_wrong_length_names_p(self, case, n, p):
+        with pytest.raises(ValidationError, match=f"expected {n} probabilities p"):
+            blocks(case, n, p)
+
+    @pytest.mark.parametrize("n", [2.0, True, 1, "2"])
+    def test_image_size_must_be_an_integer(self, n):
+        with pytest.raises(ValidationError, match="n_levels must be an integer >= 2"):
+            blocks(BOSON, n, [0.5, 0.5])
+
+    @pytest.mark.parametrize("case", ["fermion", None])
+    def test_image_case_must_be_a_particle_case(self, case):
+        # a label is not a case: "fermion" was clustered as distinguishable
+        with pytest.raises(ValidationError, match="case must be a ParticleCase"):
+            blocks(case, 4, [0.3, 0.3, 0.2, 0.2])
 
     def test_cluster_tolerance(self):
-        assert multiplicity_vector([0.5, 0.5 - 1e-10, 0.3], BOSON).d == (2, 1)
-        assert multiplicity_vector([0.5, 0.4, 0.3], BOSON).d == (1, 1, 1)
+        assert blocks(BOSON, 3, [0.5, 0.5 - 1e-10, 0.3]).d == (2, 1)
+        assert blocks(BOSON, 3, [0.5, 0.4, 0.3]).d == (1, 1, 1)
 
     def test_cluster_bounds_match_a_scalar_loop(self):
         def loop_bounds(values, tol):
@@ -177,7 +212,7 @@ class TestOrbitInvariants:
         with pytest.raises(ValidationError, match="cluster_tol must be"):
             orbit_invariants(cf, tol)
         with pytest.raises(ValidationError, match="cluster_tol must be"):
-            multiplicity_vector([0.5, 0.5], BOSON, cluster_tol=tol)
+            blocks(BOSON, 2, [0.5, 0.5], cluster_tol=tol)
 
     def test_boundary_gap_reported(self):
         s = validate(np.diag([np.sqrt(0.7), np.sqrt(0.3)]), BOSON)
