@@ -8,12 +8,13 @@ unitary witnesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NonSquareInput, SymmetryViolation, ValidationError
-from .states import ParticleCase, QuantumState, into_special_unitary
+from .errors import ConvergenceFailure, NonSquareInput, ValidationError
+from .states import ParticleCase, QuantumState, check_integer, into_special_unitary, scaled_array, symmetrized
 
 # Numeric cluster threshold of the congruence forms, relative to s0; it is
 # not the semantic stratum tolerance.  A singleton's phase fix is off by about
@@ -152,16 +153,10 @@ def _congruence_form(c, sign: int | None):
     the one checked against 1e-10 * max(1, s0).
     """
     label = {1: "takagi", -1: "youla", None: "svd"}[sign]
-    c = np.asarray(c, dtype=complex)
+    c, e = scaled_array(c, label)
     if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
         raise NonSquareInput(f"{label}: expected a nonempty square matrix, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise ValidationError(f"{label}: matrix entries must be finite")
-    if sign is not None:
-        if np.linalg.norm(c - sign * c.T) > SYMMETRY_PRE_TOL * np.linalg.norm(c):
-            kind = "symmetric" if sign > 0 else "antisymmetric"
-            raise SymmetryViolation(f"matrix is not {kind} within {SYMMETRY_PRE_TOL:g} relative")
-        c = (c + sign * c.T) / 2.0
+    c = symmetrized(c, sign, SYMMETRY_PRE_TOL)
     n = c.shape[0]
     try:
         v, s, wh = np.linalg.svd(c)
@@ -177,7 +172,8 @@ def _congruence_form(c, sign: int | None):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"{label}: {exc}") from exc
     left = u @ fermion_pair_matrix(s[: 2 * (n // 2) : 2], n) if sign == -1 else u * s
-    residual = np.linalg.norm(c - left @ right)
+    np.ldexp(s, e, out=s)  # back to the caller's scale, exactly, before the bar
+    residual = math.ldexp(np.linalg.norm(c - left @ right), e)
     accept = 1e-10 * max(1.0, s[0])
     if residual <= accept:
         return u, s, (right.T if sign is None else None)
@@ -210,8 +206,14 @@ def svd_congruence(c):
 
 def fermion_pair_matrix(lam, n: int) -> np.ndarray:
     """Block matrix sum_j lam_j J_2 padded with a zero row/column for odd n."""
+    check_integer("n", n, 1)
+    try:
+        lam = np.asarray(lam, dtype=complex)
+    except (OverflowError, ValueError, TypeError) as exc:
+        raise ValidationError(f"lam must be a vector of numbers: {exc}") from None
+    if lam.ndim != 1 or len(lam) > n // 2:
+        raise ValidationError(f"expected at most {n // 2} pair values for n={n}, got shape {lam.shape}")
     out = np.zeros((n, n), dtype=complex)
-    lam = np.asarray(lam)
     idx = np.arange(len(lam))
     out[2 * idx, 2 * idx + 1] = lam
     out[2 * idx + 1, 2 * idx] = -lam

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure
-from .states import ParticleCase, QuantumState
+from .errors import ConvergenceFailure, UnsortedInput
+from .states import ParticleCase, QuantumState, _freeze
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,6 +25,12 @@ class MomentImage:
     case: ParticleCase
     n_levels: int
     probabilities: np.ndarray
+
+    def __post_init__(self):  # p as a read-only float array, whatever sequence was passed
+        try:
+            object.__setattr__(self, "probabilities", _freeze(np.array(self.probabilities, dtype=float)))
+        except (OverflowError, ValueError, TypeError):
+            raise UnsortedInput("probabilities must be a vector of real numbers") from None
 
     @property
     def q_spectrum(self) -> np.ndarray:
@@ -49,6 +55,4 @@ def _moment_image(state: QuantumState) -> MomentImage:
         s = np.linalg.svd(state.coeffs, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"moment svd: {exc}") from exc
-    p = s**2 / np.sum(s**2)
-    p.setflags(write=False)
-    return MomentImage(state.case, state.n_levels, p)
+    return MomentImage(state.case, state.n_levels, s**2 / np.sum(s**2))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .moment import reduced_matrix
-from .states import QuantumState, check_tolerance
+from .states import QuantumState, check_tolerance, scaled_array
 from .strata import DEFAULT_CLUSTER_TOL, orbit_invariants
 
 DEFAULT_RANK_TOL = 1e-9
@@ -179,19 +179,12 @@ def _det2(m: np.ndarray) -> complex:
 
 def three_tangle(tensor) -> float:
     """Three-qubit tangle: four times the modulus of the 2x2x2 hyperdeterminant."""
-    t = np.array(tensor, dtype=complex)  # a C-ordered copy, so it has a float view
+    t, _ = scaled_array(tensor, "three_tangle")
     if t.shape != (2, 2, 2):
         raise ValidationError("three_tangle needs a 2x2x2 coefficient tensor")
-    if not np.all(np.isfinite(t)):
-        raise ValidationError("three_tangle needs finite entries")
-    # the tangle is scale-free: bring the largest real or imaginary part into
-    # [1/2, 1) by a power of two, which is exact and keeps every product finite
-    parts = t.view(float)
-    top = np.abs(parts).max()
-    if top == 0.0:
-        raise ValidationError("zero tensor")
-    t = np.ldexp(parts, -np.frexp(top)[1]).view(complex)
     norm2 = np.real(np.vdot(t, t))
+    if norm2 == 0.0:
+        raise ValidationError("zero tensor")
     # Cayley's hyperdeterminant: the discriminant b^2 - 4ac of det(t[0] + x t[1])
     a, c = _det2(t[0]), _det2(t[1])
     b = _det2(t[0] + t[1]) - a - c

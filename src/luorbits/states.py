@@ -101,42 +101,58 @@ def check_integer(name: str, value, minimum: int) -> None:
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_case(case) -> None:
+    """Raise ValidationError unless ``case`` is a ParticleCase."""
+    if not isinstance(case, ParticleCase):
+        raise ValidationError(f"case must be a ParticleCase, got {case!r}")
+
+
+def scaled_array(raw, label: str):
+    """(a, e): a C-ordered complex copy of ``raw`` times 2^-e, its largest real or imaginary part in [1/2, 1)."""
+    try:
+        a = np.array(raw, dtype=complex, order="C")
+    except OverflowError:  # an int beyond the float range
+        raise ValidationError(f"{label}: entries must be finite") from None
+    except (ValueError, TypeError) as exc:
+        raise NonSquareInput(f"{label}: input is not a complex array: {exc}") from None
+    parts = a.reshape(-1).view(float)
+    top = np.abs(parts).max(initial=0.0)  # NaN or Inf whenever an entry is
+    if not math.isfinite(top):
+        raise ValidationError(f"{label}: entries must be finite")
+    e = math.frexp(top)[1]  # exact, and no norm of the copy under- or overflows; 0 for the zero array
+    np.ldexp(parts, -e, out=parts)
+    return a, e
+
+
+def symmetrized(a: np.ndarray, sign: int | None, tol: float) -> np.ndarray:
+    """(a + sign a^t) / 2, or a for sign None; SymmetryViolation if ||a - sign a^t|| > tol ||a||."""
+    if sign is None:
+        return a
+    defect, norm = np.linalg.norm(a - sign * a.T), np.linalg.norm(a)
+    if defect > tol * norm:
+        kind = "symmetry" if sign == 1 else "antisymmetry"
+        raise SymmetryViolation(f"{kind} defect {defect / norm:.3e} exceeds tolerance {tol:.3e}")
+    return (a + sign * a.T) / 2.0
+
+
 def validate(raw, case: ParticleCase, tol: float = DEFAULT_SYMMETRY_TOL) -> QuantumState:
     """Check, (anti)symmetrize and normalize a raw coefficient matrix.
 
     Symmetry defects up to ``tol`` (relative to the Frobenius norm) are
     repaired silently; larger defects raise SymmetryViolation.
     """
+    check_case(case)
     check_tolerance("tol", tol)
-    try:
-        arr = np.array(raw, dtype=complex, order="C")
-    except OverflowError:  # an int beyond the float range
-        raise ValidationError("matrix entries must be finite") from None
-    except (ValueError, TypeError) as exc:
-        raise NonSquareInput(f"input is not a complex matrix: {exc}") from None
+    arr, _ = scaled_array(raw, "matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NonSquareInput(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise ValidationError("one-particle dimension must be at least 2")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("matrix contains NaN or Inf entries")
-    # scale the real and imaginary parts by the largest of them first, so
-    # that no norm below under- or overflows; |z| can overflow near the float
-    # limit, and complex division by a subnormal overflows in its reciprocal
-    parts = arr.view(float)
-    scale = np.abs(parts).max()
-    if scale == 0.0:
+    arr = symmetrized(arr, case.symmetry_sign, tol)
+    norm = np.linalg.norm(arr)
+    if norm == 0.0:
         raise ZeroState("coefficient matrix is zero")
-    parts /= scale
-    sign = case.symmetry_sign
-    if sign is not None:
-        defect = np.linalg.norm(arr - sign * arr.T) / np.linalg.norm(arr)
-        if defect > tol:
-            kind = "symmetry" if sign == 1 else "antisymmetry"
-            raise SymmetryViolation(f"{kind} defect {defect:.3e} exceeds tolerance {tol:.3e}")
-        arr = (arr + sign * arr.T) / 2.0
-    arr = arr / np.linalg.norm(arr)
-    return _make_state(case, arr)
+    return _make_state(case, arr / norm)
 
 
 def _check_compatible(state: QuantumState, g: LocalUnitary) -> None:
@@ -166,6 +182,7 @@ def apply_group_action(state: QuantumState, g: LocalUnitary) -> QuantumState:
 
 def random_state(case: ParticleCase, n: int, seed: int) -> QuantumState:
     """Gaussian random state projected onto the symmetry class, unit norm."""
+    check_case(case)
     check_integer("n", n, 2)
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
@@ -192,6 +209,7 @@ def into_special_unitary(u: np.ndarray):
 
 def random_local_unitary(case: ParticleCase, n: int, seed: int) -> LocalUnitary:
     """Deterministic Haar-random element of the local group for the given case."""
+    check_case(case)
     check_integer("n", n, 2)
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)

@@ -22,6 +22,7 @@ from .states import (
     ParticleCase,
     QuantumState,
     apply_group_action,
+    check_case,
     check_integer,
     check_tolerance,
     random_local_unitary,
@@ -149,6 +150,7 @@ def _multiplicity(values: np.ndarray, case: ParticleCase, cluster_tol: float, n_
 
 def flag_dimension(mv: MultiplicityVector, case: ParticleCase) -> int:
     """Real dimension of the flag manifold F(d_1, ..., d_k) in the moment image."""
+    check_case(case)
     n = mv.n_levels
     base = n * n - sum(di * di for di in mv.d)
     return 2 * base if case is ParticleCase.DISTINGUISHABLE else base
@@ -160,6 +162,7 @@ def fiber_structure(mv: MultiplicityVector, case: ParticleCase) -> list[FiberFac
     The zero block of a degenerate stratum is absorbed into the isotropy and
     contributes no factor; the torus rank drops by one accordingly.
     """
+    check_case(case)
     if mv.degenerate and mv.k == 1:
         raise InvalidStratum("single all-zero block is the zero state")
     blocks = mv.d[:-1] if mv.degenerate else mv.d
@@ -196,9 +199,8 @@ def orbit_invariants(
     """
     check_tolerance("cluster_tol", cluster_tol, positive=True)
     case, n = source.case, source.n_levels
+    check_case(case)
     if isinstance(source, MomentImage):
-        if not isinstance(case, ParticleCase):
-            raise ValidationError(f"case must be a ParticleCase, got {case!r}")
         check_integer("n_levels", n, 2)
         p = _checked_spectrum(source.probabilities)
         if len(p) != n:
@@ -250,6 +252,7 @@ def enumerate_strata(case: ParticleCase, n: int) -> list[OrbitInvariants]:
     Counted from the compositions there are 2^b - 1, with b = N (fermions:
     b = floor(N/2)); b above ``MAX_LISTING_BITS`` is refused before any is built.
     """
+    check_case(case)
     check_integer("n", n, 2)
     bits = n // 2 if case is ParticleCase.FERMION else n
     if bits > MAX_LISTING_BITS:
@@ -267,6 +270,7 @@ def representative_state(
     The representative sits on the canonical slice; pass a seed to rotate it
     off the slice by a deterministic random local unitary.
     """
+    check_case(case)
     if mv.degenerate and mv.k == 1:
         raise InvalidStratum("single all-zero block is the zero state")
     if case is ParticleCase.FERMION:

@@ -149,6 +149,12 @@ class TestYoula:
         with pytest.raises(SymmetryViolation):
             youla_antisymmetric(np.eye(2))
 
+    @pytest.mark.parametrize("lam, n", [([1, 2, 3], 4), ([1, 2], 3), ([[1, 2]], 4), ([1], 2.0), ([1], 0)])
+    def test_pair_matrix_rejects_what_does_not_fit(self, lam, n):
+        # three pair values at n = 4 used to raise a raw IndexError
+        with pytest.raises(ValidationError):
+            fermion_pair_matrix(lam, n)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 8))
     def test_random_reconstruction(self, seed, n):

@@ -73,6 +73,14 @@ class TestReducedMatrix:
     def test_the_image_is_case_n_and_p(self):
         assert [f.name for f in dataclasses.fields(MomentImage)] == ["case", "n_levels", "probabilities"]
 
+    def test_p_is_stored_as_a_read_only_float_array(self):
+        # a list p used to make q_spectrum raise a raw TypeError
+        p = [0.5, 0.5]
+        image = MomentImage(ParticleCase.BOSON, 2, p)
+        np.testing.assert_array_equal(image.q_spectrum, [0.0, 0.0])
+        assert image.probabilities.dtype == float and not image.probabilities.flags.writeable
+        assert p == [0.5, 0.5]
+
 
 class TestSmallProbabilities:
     @pytest.mark.parametrize("case", ALL_CASES)

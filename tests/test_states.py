@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 import luorbits
 from luorbits import (
     CaseMismatch,
+    LuorbitsError,
+    MomentImage,
+    MultiplicityVector,
     DimensionMismatch,
     LocalUnitary,
     NonSquareInput,
@@ -21,12 +24,20 @@ from luorbits import (
     apply_group_action,
     canonicalize,
     enumerate_strata,
+    fermion_pair_matrix,
+    fiber_structure,
+    flag_dimension,
+    orbit_invariants,
     random_local_unitary,
     random_state,
     representative_state,
     state_from_dict,
     state_to_dict,
+    svd_congruence,
+    takagi,
+    three_tangle,
     validate,
+    youla_antisymmetric,
 )
 from conftest import (
     ALL_CASES,
@@ -345,3 +356,63 @@ class TestPublicSurface:
         for module in (luorbits, luorbits.canonical, luorbits.equivalence, luorbits.errors,
                        luorbits.moment, luorbits.oracle, luorbits.states, luorbits.strata):
             assert not hasattr(module, name)
+
+    # every exported name that takes an array or a sequence of numbers, fed one probe
+    ARRAY_ENTRIES = {
+        "validate": lambda x: validate(x, ParticleCase.BOSON),
+        "takagi": takagi,
+        "youla_antisymmetric": youla_antisymmetric,
+        "svd_congruence": svd_congruence,
+        "three_tangle": three_tangle,
+        "fermion_pair_matrix": lambda x: fermion_pair_matrix(x, 4),
+        "MomentImage": lambda x: orbit_invariants(MomentImage(ParticleCase.BOSON, 2, x)),
+        "MultiplicityVector": lambda x: MultiplicityVector(x, False),
+        "state_from_dict": lambda x: state_from_dict({"case": "boson", "n": 2, "matrix": x}),
+    }
+    # exported names the probes do not reach: they take states, forms, cases, integers or labels;
+    # LocalUnitary stores its u and v unchecked, and apply_group_action reads their shapes
+    OTHER_ENTRIES = {
+        "CanonicalForm", "EquivalenceVerdict", "FiberFactor", "LocalUnitary", "OracleReport", "OrbitInvariants",
+        "ParticleCase", "QuantumState", "apply_group_action", "canonicalize", "counterexample_demo",
+        "enumerate_strata", "fiber_structure", "flag_dimension", "lu_equivalent", "oracle_check",
+        "orbit_invariants", "random_local_unitary", "random_state", "reconstruct", "reduced_matrix",
+        "representative_state", "state_to_dict",
+    }
+
+    def test_every_exported_name_is_sorted_into_array_entries_or_not(self):
+        # a new entry point must be added to one of the two, and to the probes if it takes an array
+        errors = {name for name in luorbits.__all__ if isinstance(getattr(luorbits, name), type)
+                  and issubclass(getattr(luorbits, name), LuorbitsError)}
+        assert set(luorbits.__all__) == errors | set(self.ARRAY_ENTRIES) | self.OTHER_ENTRIES
+        assert not set(self.ARRAY_ENTRIES) & self.OTHER_ENTRIES
+
+    @pytest.mark.parametrize("probe", [10**400, "abc", None, [[1.0, 2.0], [3.0]]],
+                             ids=["int-beyond-float", "string", "none", "ragged"])
+    @pytest.mark.parametrize("name", list(ARRAY_ENTRIES))
+    def test_array_entries_raise_domain_errors(self, name, probe):
+        with pytest.raises(LuorbitsError):
+            self.ARRAY_ENTRIES[name](probe)
+
+
+class TestCaseArgument:
+    """A case must be a ParticleCase; a label such as "fermion" used to be taken for another case.
+
+    ``orbit_invariants`` has the same test in test_strata.py.
+    """
+
+    MV = MultiplicityVector((2, 2), False)
+    ENTRIES = {
+        "validate": lambda case: validate(np.eye(2), case),
+        "random_state": lambda case: random_state(case, 3, 0),
+        "random_local_unitary": lambda case: random_local_unitary(case, 3, 0),
+        "enumerate_strata": lambda case: enumerate_strata(case, 4),
+        "representative_state": lambda case: representative_state(TestCaseArgument.MV, case),
+        "fiber_structure": lambda case: fiber_structure(TestCaseArgument.MV, case),
+        "flag_dimension": lambda case: flag_dimension(TestCaseArgument.MV, case),
+    }
+
+    @pytest.mark.parametrize("case", ["fermion", "dist", None])
+    @pytest.mark.parametrize("name", list(ENTRIES))
+    def test_label_rejected(self, name, case):
+        with pytest.raises(ValidationError, match="case must be a ParticleCase"):
+            self.ENTRIES[name](case)
