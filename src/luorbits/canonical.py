@@ -172,6 +172,8 @@ def _congruence_form(c, sign: int | None):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"{label}: {exc}") from exc
     left = u @ fermion_pair_matrix(s[: 2 * (n // 2) : 2], n) if sign == -1 else u * s
+    if math.frexp(s[0])[1] + e > 1024:  # s0 * 2^e, s0 at the caller's scale, is beyond the float range
+        raise ValidationError(f"{label}: singular value {s[0]:.6f} * 2^{e} exceeds the float range")
     np.ldexp(s, e, out=s)  # back to the caller's scale, exactly, before the bar
     residual = math.ldexp(np.linalg.norm(c - left @ right), e)
     accept = 1e-10 * max(1.0, s[0])

@@ -237,7 +237,7 @@ def _add_common(parser, *, tol=None, cluster=False, rank=False):
                             help=f"{text} (default %(default)s)")
     if cluster:
         parser.add_argument("--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL,
-                            help="relative gap for spectrum clustering (default %(default)s)")
+                            help="relative gap in s = sqrt(p) for clustering (default %(default)s)")
     if rank:
         parser.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
                             help="relative threshold for numerical ranks (default %(default)s)")

@@ -26,8 +26,10 @@ class MomentImage:
     n_levels: int
     probabilities: np.ndarray
 
-    def __post_init__(self):  # p as a read-only float array, whatever sequence was passed
+    def __post_init__(self):  # p as a read-only float array, whatever real sequence was passed
         try:
+            if np.iscomplexobj(self.probabilities):  # a float cast would drop the imaginary part
+                raise TypeError
             object.__setattr__(self, "probabilities", _freeze(np.array(self.probabilities, dtype=float)))
         except (OverflowError, ValueError, TypeError):
             raise UnsortedInput("probabilities must be a vector of real numbers") from None

@@ -69,11 +69,23 @@ class QuantumState:
 
 @dataclass(frozen=True, eq=False)
 class LocalUnitary:
-    """Element of SU(N) (diagonal cases) or SU(N) x SU(N) (distinguishable)."""
+    """Element of SU(N), or SU(N) x SU(N) for dist; u and v are stored as read-only square complex copies."""
 
     case: ParticleCase
     u: np.ndarray
     v: np.ndarray | None = None
+
+    def __post_init__(self):
+        check_case(self.case)
+        if self.case is ParticleCase.DISTINGUISHABLE and self.v is None:
+            raise CaseMismatch("distinguishable action needs a pair (u, v)")
+        for name in ("u",) if self.v is None else ("u", "v"):
+            m = complex_array(getattr(self, name), name)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise NonSquareInput(f"{name}: expected a square matrix, got shape {m.shape}")
+            object.__setattr__(self, name, _freeze(m))
+        if self.v is not None and self.v.shape != self.u.shape:
+            raise DimensionMismatch("second unitary has mismatched shape")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -107,19 +119,24 @@ def check_case(case) -> None:
         raise ValidationError(f"case must be a ParticleCase, got {case!r}")
 
 
-def scaled_array(raw, label: str):
-    """(a, e): a C-ordered complex copy of ``raw`` times 2^-e, its largest real or imaginary part in [1/2, 1)."""
+def complex_array(raw, label: str) -> np.ndarray:
+    """A C-ordered complex copy of ``raw``; ValidationError unless every entry is finite."""
     try:
         a = np.array(raw, dtype=complex, order="C")
     except OverflowError:  # an int beyond the float range
         raise ValidationError(f"{label}: entries must be finite") from None
     except (ValueError, TypeError) as exc:
         raise NonSquareInput(f"{label}: input is not a complex array: {exc}") from None
-    parts = a.reshape(-1).view(float)
-    top = np.abs(parts).max(initial=0.0)  # NaN or Inf whenever an entry is
-    if not math.isfinite(top):
+    if not np.isfinite(a).all():
         raise ValidationError(f"{label}: entries must be finite")
-    e = math.frexp(top)[1]  # exact, and no norm of the copy under- or overflows; 0 for the zero array
+    return a
+
+
+def scaled_array(raw, label: str):
+    """(a, e): complex_array(raw) times 2^-e, its largest real or imaginary part in [1/2, 1)."""
+    a = complex_array(raw, label)
+    parts = a.reshape(-1).view(float)
+    e = math.frexp(np.abs(parts).max(initial=0.0))[1]  # exact; no norm of the copy under- or overflows
     np.ldexp(parts, -e, out=parts)
     return a, e
 
@@ -160,11 +177,6 @@ def _check_compatible(state: QuantumState, g: LocalUnitary) -> None:
         raise CaseMismatch(f"state is {state.case.value}, unitary is {g.case.value}")
     if g.u.shape != (state.n_levels, state.n_levels):
         raise DimensionMismatch(f"unitary shape {g.u.shape} does not match N={state.n_levels}")
-    if state.case is ParticleCase.DISTINGUISHABLE:
-        if g.v is None:
-            raise CaseMismatch("distinguishable action needs a pair (u, v)")
-        if g.v.shape != g.u.shape:
-            raise DimensionMismatch("second unitary has mismatched shape")
 
 
 def apply_group_action(state: QuantumState, g: LocalUnitary) -> QuantumState:
@@ -214,9 +226,7 @@ def random_local_unitary(case: ParticleCase, n: int, seed: int) -> LocalUnitary:
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     u = haar_special_unitary(n, rng)
-    if case is ParticleCase.DISTINGUISHABLE:
-        return LocalUnitary(case, _freeze(u), _freeze(haar_special_unitary(n, rng)))
-    return LocalUnitary(case, _freeze(u))
+    return LocalUnitary(case, u, haar_special_unitary(n, rng) if case is ParticleCase.DISTINGUISHABLE else None)
 
 
 # ---------------------------------------------------------------------------

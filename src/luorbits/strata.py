@@ -92,8 +92,8 @@ class OrbitInvariants:
     """Dimension data of one orbit type.
 
     orbit_dim = flag_dim_real + fiber_dim and degeneracy_D = fiber_dim;
-    boundary_gap is the relative spectral distance to the nearest coarser
-    stratum (None for abstractly enumerated strata).
+    boundary_gap is the gap in s = sqrt(p), relative to s_0, to the nearest
+    coarser stratum (None for abstractly enumerated strata).
     """
 
     d: MultiplicityVector
@@ -124,27 +124,17 @@ def _checked_spectrum(values) -> np.ndarray:
     return values
 
 
-def _multiplicity(values: np.ndarray, case: ParticleCase, cluster_tol: float, n_levels: int):
-    """Multiplicity vector of a checked spectrum, and its boundary gap.
-
-    ``values`` is p, or for fermions the floor(N/2) lambdas: their blocks
-    count double, and the forced zero of odd N joins the final block.
-    """
-    vmax = values[0]
-    bounds = cluster_bounds(values, cluster_tol)
+def _multiplicity(s: np.ndarray, cluster_tol: float):
+    """Multiplicity vector of a checked root spectrum s = sqrt(p), and its boundary gap."""
+    bounds = cluster_bounds(s, cluster_tol)
     sizes = [hi - lo for lo, hi in zip(bounds[:-1], bounds[1:])]
-    zero_last = bool(values[-1] <= cluster_tol * vmax)
+    zero_last = bool(s[-1] <= cluster_tol * s[0])
     # distance to the nearest coarser stratum: merge two blocks, or drop the
     # smallest block to zero when the state is full rank
-    candidates = [float(values[pos - 1] - values[pos]) / vmax for pos in bounds[1:-1]]
+    candidates = [float(s[pos - 1] - s[pos]) / s[0] for pos in bounds[1:-1]]
     if not zero_last:
-        candidates.append(float(values[bounds[-2]]) / vmax)
-    gap = min(candidates) if candidates else float(values[0]) / vmax
-    if case is ParticleCase.FERMION:
-        sizes = [2 * size for size in sizes]
-        if n_levels % 2 == 1:
-            sizes = sizes[:-1] + [sizes[-1] + 1] if zero_last else sizes + [1]
-            zero_last = True
+        candidates.append(float(s[bounds[-2]]) / s[0])
+    gap = min(candidates) if candidates else 1.0
     return MultiplicityVector(tuple(sizes), zero_last), gap
 
 
@@ -191,27 +181,23 @@ def orbit_invariants(
 ) -> OrbitInvariants:
     """Classify a moment image into its stratum and compute its dimensions.
 
-    A fermion image is clustered on sqrt(p) at every other entry, the Youla
-    lambdas of a unit-norm state, so ``cluster_tol`` and ``boundary_gap``
-    are measured on the lambdas.  A ``CanonicalForm`` (clustered on
-    lambda^2 / sum, fermions on the lambdas) is still accepted only because
-    the benchmark harness classifies forms; it goes once that passes images.
+    Every case is clustered on the root spectrum s = sqrt(p), the canonical
+    slice values, so ``cluster_tol`` and ``boundary_gap`` are relative gaps
+    in s.  A ``CanonicalForm`` is still accepted only because the benchmark
+    harness classifies forms; it goes once that passes images.
     """
     check_tolerance("cluster_tol", cluster_tol, positive=True)
     case, n = source.case, source.n_levels
     check_case(case)
     if isinstance(source, MomentImage):
         check_integer("n_levels", n, 2)
-        p = _checked_spectrum(source.probabilities)
-        if len(p) != n:
-            raise ValidationError(f"expected {n} probabilities p for N={n}, got {len(p)}")
-        values = np.sqrt(p[: 2 * (n // 2) : 2]) if case is ParticleCase.FERMION else p
-    elif case is ParticleCase.FERMION:
-        values = _checked_spectrum(source.lambdas)
-    else:
-        p = source.lambdas**2
-        values = _checked_spectrum(p / p.sum())
-    mv, gap = _multiplicity(values, case, cluster_tol, n)
+        s = np.sqrt(_checked_spectrum(source.probabilities))
+        if len(s) != n:
+            raise ValidationError(f"expected {n} probabilities p for N={n}, got {len(s)}")
+    else:  # a Youla form holds one lambda per pair, fewer than N
+        lam = source.lambdas
+        s = _checked_spectrum(lam if len(lam) == n else np.concatenate([np.repeat(lam, 2), np.zeros(n % 2)]))
+    mv, gap = _multiplicity(s, cluster_tol)
     return invariants_for(mv, case, boundary_gap=gap)
 
 

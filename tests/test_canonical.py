@@ -239,6 +239,17 @@ class TestCongruenceScale:
         assert_unitary(u)
         assert np.linalg.norm(c - u @ core @ u.T) <= 1e-12 * np.linalg.norm(c)
 
+    @pytest.mark.parametrize("decompose, matrix", [
+        (takagi, np.full((2, 2), 1.5e308)),
+        (youla_antisymmetric, 1.5e308 * np.array([[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -1.0, 0.0]])),
+        (svd_congruence, np.full((2, 2), 1.5e308)),
+    ])
+    def test_singular_value_beyond_the_float_range_rejected(self, decompose, matrix):
+        # finite entries whose largest singular value (3e308, 2.6e308) is not a float;
+        # scaling it back used to raise numpy's overflow warning
+        with pytest.raises(ValidationError, match=r"singular value .* \* 2\^1024 exceeds the float range"):
+            decompose(matrix)
+
 
 class TestNearRankDeficient:
     """A value just above the snap to zero, next to an exact zero, is still fixed."""

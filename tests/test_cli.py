@@ -192,9 +192,10 @@ class TestStrata:
 class TestOneStratumRoute:
     @pytest.mark.parametrize("case", ["boson", "fermion", "dist"])
     def test_classify_and_oracle_agree_at_a_twilight_gap(self, case, tmp_path, capsys):
-        # two values a relative gap g ~ cluster_tol apart: clustering the
-        # canonical lambdas and clustering the moment spectrum round
-        # differently here, so both commands must read the same source
+        # two values of s = sqrt(p) a relative gap g ~ cluster_tol apart:
+        # clustering the canonical lambdas and clustering the moment
+        # spectrum round differently here, so both commands must read the
+        # same source
         particle = luorbits.ParticleCase.from_label(case)
         disagree = []
         for j in range(-30, 30):
@@ -202,7 +203,7 @@ class TestOneStratumRoute:
             if particle is luorbits.ParticleCase.FERMION:
                 c = luorbits.fermion_pair_matrix([1.0, 1.0 - g, 0.5], 6)
             else:
-                c = np.diag(np.sqrt([0.4, 0.4 * (1 - g), 0.15, 0.05]))
+                c = np.diag([1.0, 1.0 - g, 0.5, 0.25])
             rng = np.random.default_rng(j + 200)
             u = haar_special_unitary(len(c), rng)
             v = haar_special_unitary(len(c), rng) if particle is luorbits.ParticleCase.DISTINGUISHABLE else u

@@ -241,6 +241,17 @@ class TestOracleCheck:
         assert report.agree
         assert report.degeneracy_numeric == 1
 
+    @pytest.mark.parametrize("r", [1e-4, 1e-5, 1e-6, 1e-7])
+    @pytest.mark.parametrize("case, orbit_dim", [(BOSON, 8), (DIST, 14)])
+    def test_small_tail_is_full_rank_in_both(self, case, orbit_dim, r):
+        # s = (1, 0.6, r): the zero block is read on s; read on p it fired at
+        # r <= 1e-4, where the oracle still sees the full rank
+        for seed in range(5):
+            s = apply_group_action(validate(np.diag([1.0, 0.6, r]), case), random_local_unitary(case, 3, seed))
+            report = oracle_check(s)
+            assert report.agree and report.warnings == ()
+            assert report.formula_orbit_dim == report.orbit_dim_numeric == orbit_dim
+
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_gauge_independence(self, case):
         rng = np.random.default_rng(8)

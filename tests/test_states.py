@@ -192,6 +192,23 @@ class TestGroupAction:
         with pytest.raises(DimensionMismatch):
             apply_group_action(s, random_local_unitary(ParticleCase.BOSON, 3, 0))
 
+    def test_unitary_given_as_nested_lists(self):
+        # the stored u used to be the list itself, and the action read its .shape
+        s = random_state(ParticleCase.BOSON, 2, 0)
+        g = LocalUnitary(ParticleCase.BOSON, [[1, 0], [0, 1]])
+        assert g.u.dtype == complex and not g.u.flags.writeable
+        np.testing.assert_array_equal(apply_group_action(s, g).coeffs, s.coeffs)
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda: LocalUnitary(ParticleCase.DISTINGUISHABLE, np.eye(2)), CaseMismatch),
+        (lambda: LocalUnitary(ParticleCase.DISTINGUISHABLE, np.eye(2), np.eye(3)), DimensionMismatch),
+        (lambda: LocalUnitary(ParticleCase.BOSON, np.eye(2)[:1]), NonSquareInput),
+        (lambda: LocalUnitary("boson", np.eye(2)), ValidationError),
+    ], ids=["dist-without-v", "v-shape", "non-square", "label"])
+    def test_malformed_unitary_rejected_on_construction(self, make, error):
+        with pytest.raises(error):
+            make()
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 7),
            case=st.sampled_from(ALL_CASES))
@@ -367,12 +384,12 @@ class TestPublicSurface:
         "fermion_pair_matrix": lambda x: fermion_pair_matrix(x, 4),
         "MomentImage": lambda x: orbit_invariants(MomentImage(ParticleCase.BOSON, 2, x)),
         "MultiplicityVector": lambda x: MultiplicityVector(x, False),
+        "LocalUnitary": lambda x: LocalUnitary(ParticleCase.BOSON, x),
         "state_from_dict": lambda x: state_from_dict({"case": "boson", "n": 2, "matrix": x}),
     }
-    # exported names the probes do not reach: they take states, forms, cases, integers or labels;
-    # LocalUnitary stores its u and v unchecked, and apply_group_action reads their shapes
+    # exported names the probes do not reach: they take states, forms, cases, integers or labels
     OTHER_ENTRIES = {
-        "CanonicalForm", "EquivalenceVerdict", "FiberFactor", "LocalUnitary", "OracleReport", "OrbitInvariants",
+        "CanonicalForm", "EquivalenceVerdict", "FiberFactor", "OracleReport", "OrbitInvariants",
         "ParticleCase", "QuantumState", "apply_group_action", "canonicalize", "counterexample_demo",
         "enumerate_strata", "fiber_structure", "flag_dimension", "lu_equivalent", "oracle_check",
         "orbit_invariants", "random_local_unitary", "random_state", "reconstruct", "reduced_matrix",

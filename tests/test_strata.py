@@ -69,7 +69,7 @@ class TestMultiplicityVector:
         with pytest.raises(UnsortedInput):
             blocks(BOSON, 2, [0.5, -0.1])
 
-    @pytest.mark.parametrize("values", [["a", "b"], [0.5 + 1j, 0.5]])
+    @pytest.mark.parametrize("values", [["a", "b"], [0.5 + 1j, 0.5], np.array([0.5 + 0j, 0.5])])
     def test_non_real_entries_rejected(self, values):
         with pytest.raises(UnsortedInput, match="real numbers"):
             blocks(BOSON, 2, values)
@@ -92,6 +92,11 @@ class TestMultiplicityVector:
         # sqrt of a negative entry would surface as a RuntimeWarning instead
         with pytest.raises(UnsortedInput, match="sorted descending and nonnegative"):
             blocks(FERMION, 4, p)
+
+    def test_unpaired_fermion_image_rejected(self):
+        # every entry is read: at every other one this passed as the full-rank (2, 2)
+        with pytest.raises(InvalidStratum):
+            blocks(FERMION, 4, [0.5, 0.3, 0.2, 0.0])
 
     @pytest.mark.parametrize("case, n, p", [(FERMION, 4, [0.5, 0.5]), (FERMION, 5, [0.5, 0.5, 0.0, 0.0]),
                                             (BOSON, 3, [0.5, 0.5]), (DIST, 2, [0.5, 0.3, 0.2])])
@@ -217,18 +222,35 @@ class TestOrbitInvariants:
     def test_boundary_gap_reported(self):
         s = validate(np.diag([np.sqrt(0.7), np.sqrt(0.3)]), BOSON)
         inv = orbit_invariants(canonicalize(s))
-        assert inv.boundary_gap == pytest.approx(0.3 / 0.7, rel=1e-6)
+        assert inv.boundary_gap == pytest.approx(1.0 - np.sqrt(0.3 / 0.7), rel=1e-6)
 
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_fermion_moment_image_clusters_the_lambdas(self, n):
-        # a relative lambda gap of 0.7 cluster_tol is one block on the
-        # lambdas, but 1.4 cluster_tol on p = lambda^2 would split it
+    # x is a gap or a tail in s = sqrt(p), relative to s_0; the stratum on either side of cluster_tol
+    TWILIGHT = [
+        (BOSON, 4, lambda x: [1.0, 1.0 - x, 0.5, 0.25], ((2, 1, 1), False), ((1, 1, 1, 1), False)),
+        (BOSON, 4, lambda x: [1.0, 0.6, 0.3, x], ((1, 1, 1, 1), True), ((1, 1, 1, 1), False)),
+        (DIST, 4, lambda x: [1.0, 1.0 - x, 0.5, 0.25], ((2, 1, 1), False), ((1, 1, 1, 1), False)),
+        (DIST, 4, lambda x: [1.0, 0.6, 0.3, x], ((1, 1, 1, 1), True), ((1, 1, 1, 1), False)),
+        (FERMION, 6, lambda x: [1.0, 1.0 - x, 0.5], ((4, 2), False), ((2, 2, 2), False)),
+        (FERMION, 6, lambda x: [1.0, 0.6, x], ((2, 2, 2), True), ((2, 2, 2), False)),
+        (FERMION, 7, lambda x: [1.0, 1.0 - x, 0.5], ((4, 2, 1), True), ((2, 2, 2, 1), True)),
+        (FERMION, 7, lambda x: [1.0, 0.6, x], ((2, 2, 3), True), ((2, 2, 2, 1), True)),
+    ]
+
+    @pytest.mark.parametrize("case, n, values, below, above", TWILIGHT,
+                             ids=[f"{row[0].value}{row[1]}-{kind}" for row, kind in zip(TWILIGHT, ["gap", "tail"] * 4)])
+    def test_every_case_clusters_the_root_spectrum(self, case, n, values, below, above):
+        # the image and the form agree on either side of cluster_tol; a gap of
+        # 0.7 cluster_tol in s is 1.4 cluster_tol in p, and a tail of 1.4
+        # cluster_tol in s is 2e-16 in p: bosons and dist were split on p there
         from luorbits import fermion_pair_matrix
-        s = validate(fermion_pair_matrix([1.0, 1.0 - 0.7e-8], n), FERMION)
-        s = apply_group_action(s, random_local_unitary(FERMION, n, 2))
-        from_moment, from_form = orbit_invariants(reduced_matrix(s)), orbit_invariants(canonicalize(s))
-        assert from_moment.d == from_form.d == MultiplicityVector((4,) + (1,) * (n - 4), n == 5)
-        assert from_moment.boundary_gap == pytest.approx(from_form.boundary_gap, rel=1e-6)
+        for seed, factor in enumerate([0.7, 0.9, 1.1, 1.4]):
+            x = factor * DEFAULT_CLUSTER_TOL
+            c = fermion_pair_matrix(values(x), n) if case is FERMION else np.diag(values(x))
+            state = apply_group_action(validate(c, case), random_local_unitary(case, n, seed))
+            from_image, from_form = orbit_invariants(reduced_matrix(state)), orbit_invariants(canonicalize(state))
+            d, degenerate = below if factor < 1 else above
+            assert from_image.d == from_form.d == MultiplicityVector(d, degenerate), factor
+            assert from_image.boundary_gap == pytest.approx(from_form.boundary_gap, rel=1e-6)
 
     @pytest.mark.parametrize("tol", [0.0, np.nan])
     def test_moment_image_checks_the_cluster_tolerance(self, tol):
