@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailure, NonSquareInput, ValidationError
-from .states import ParticleCase, QuantumState, check_integer, into_special_unitary, scaled_array, symmetrized
+from .states import (ParticleCase, QuantumState, check_case, check_integer, into_special_unitary, scaled_array,
+                     symmetrized)
 
 # Numeric cluster threshold of the congruence forms, relative to s0; it is
 # not the semantic stratum tolerance.  A singleton's phase fix is off by about
@@ -31,7 +32,7 @@ class CanonicalForm:
     """Slice representative and SU(N) witnesses, stored; the residual on access.
 
     The original coefficients satisfy C = global_phase * (witness reconstruction)
-    up to ``residual`` in Frobenius norm.
+    up to ``residual`` in Frobenius norm.  ``lambdas`` is 1-D: N values (fermions: floor(N/2)).
     """
 
     case: ParticleCase
@@ -41,6 +42,12 @@ class CanonicalForm:
     witness_v: np.ndarray | None
     global_phase: complex
     _coeffs: np.ndarray = field(repr=False)  # the state's own read-only C
+
+    def __post_init__(self):
+        check_case(self.case)
+        count = self.n_levels // 2 if self.case is ParticleCase.FERMION else self.n_levels
+        if np.ndim(self.lambdas) != 1 or len(self.lambdas) != count:
+            raise ValidationError(f"N={self.n_levels} needs {count} lambdas, got shape {np.shape(self.lambdas)}")
 
     @property
     def residual(self) -> float:

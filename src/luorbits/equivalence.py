@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import canonicalize
-from .errors import CaseMismatch, ConvergenceFailure, DimensionMismatch
+from .errors import CaseMismatch, ConvergenceFailure, DimensionMismatch, ValidationError
 from .moment import reduced_matrix
 from .states import LocalUnitary, ParticleCase, QuantumState, apply_group_action, check_tolerance
 
@@ -62,8 +62,8 @@ def lu_equivalent(
 ) -> EquivalenceVerdict:
     """Decide local-unitary equivalence of two states of the same case and N.
 
-    The verdict is spectral; the witness is best effort and its failure only
-    appends a warning, never flips the decision.
+    The verdict is spectral; the witness is best effort: a failed decomposition
+    or a non-unitary witness only appends a warning, never flips the decision.
     """
     _check_pair(a, b)
     check_tolerance("tol", tol)
@@ -74,7 +74,7 @@ def lu_equivalent(
         return EquivalenceVerdict(False, distance, None, None, None)
     try:
         g, residual, phase = _build_witness(a, b)
-    except ConvergenceFailure as exc:
+    except (ConvergenceFailure, ValidationError) as exc:
         return EquivalenceVerdict(True, distance, None, None, None, (f"witness failed: {exc}",))
     if residual > WITNESS_RESIDUAL_TOL:
         return EquivalenceVerdict(

@@ -69,7 +69,7 @@ class QuantumState:
 
 @dataclass(frozen=True, eq=False)
 class LocalUnitary:
-    """Element of SU(N), or SU(N) x SU(N) for dist; u and v are stored as read-only square complex copies."""
+    """Element of SU(N), or SU(N) x SU(N) for dist; u and v are stored as read-only, checked unitary copies."""
 
     case: ParticleCase
     u: np.ndarray
@@ -83,6 +83,10 @@ class LocalUnitary:
             m = complex_array(getattr(self, name), name)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise NonSquareInput(f"{name}: expected a square matrix, got shape {m.shape}")
+            with np.errstate(all="ignore"):  # huge entries overflow to inf or nan, which fail below
+                defect = np.linalg.norm(m.conj().T @ m - np.eye(len(m)))
+            if not defect <= DEFAULT_SYMMETRY_TOL:
+                raise ValidationError(f"{name}: not unitary, ||U^dag U - I|| = {defect:.3e}")
             object.__setattr__(self, name, _freeze(m))
         if self.v is not None and self.v.shape != self.u.shape:
             raise DimensionMismatch("second unitary has mismatched shape")
@@ -239,7 +243,7 @@ def complex_matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, complex)]
 
 
-def complex_matrix_from_json(rows, n: int | None = None) -> np.ndarray:
+def complex_matrix_from_json(rows, n: int) -> np.ndarray:
     """Decode a [[re, im], ...] matrix, rejecting ragged rows and NaN/Inf."""
     if not isinstance(rows, list) or not rows:
         raise ParseError("matrix must be a non-empty list of rows")
@@ -268,7 +272,7 @@ def complex_matrix_from_json(rows, n: int | None = None) -> np.ndarray:
                 raise ParseError("matrix entries must be finite")
             entries.append(complex(real, imag))
         out.append(entries)
-    if n is not None and (len(out) != n or width != n):
+    if len(out) != n or width != n:
         raise ParseError(f"matrix shape {len(out)}x{width} does not match n={n}")
     return np.array(out, dtype=complex)
 

@@ -40,13 +40,14 @@ class MultiplicityVector:
     d: tuple[int, ...]
     degenerate: bool
 
-    def __post_init__(self):
+    def __post_init__(self):  # d stored as a tuple of Python ints
         try:
-            valid = bool(self.d) and all(operator.index(b) > 0 for b in self.d)
+            d = tuple([operator.index(b) for b in self.d])
         except TypeError:
-            valid = False
-        if not valid:
+            d = ()
+        if not d or min(d) <= 0:
             raise InvalidStratum(f"blocks must be one or more positive integers, got {self.d!r}")
+        object.__setattr__(self, "d", d)
 
     @property
     def k(self) -> int:
@@ -156,14 +157,13 @@ def fiber_structure(mv: MultiplicityVector, case: ParticleCase) -> list[FiberFac
     if mv.degenerate and mv.k == 1:
         raise InvalidStratum("single all-zero block is the zero state")
     blocks = mv.d[:-1] if mv.degenerate else mv.d
-    torus_dim = mv.k - 2 if mv.degenerate else mv.k - 1
     if case is ParticleCase.BOSON:
         factor = sym_so_factor
     elif case is ParticleCase.FERMION:
         factor = sym_usp_factor
     else:
         factor = group_su_factor
-    return [torus_factor(torus_dim)] + [factor(m) for m in blocks]
+    return [torus_factor(len(blocks) - 1)] + [factor(m) for m in blocks]
 
 
 def invariants_for(
@@ -211,39 +211,27 @@ def _compositions(total: int):
             yield (first,) + rest
 
 
-def _multiplicity_candidates(case: ParticleCase, n: int):
-    if case is not ParticleCase.FERMION:
-        for comp in _compositions(n):
-            yield MultiplicityVector(comp, False)
-            if len(comp) >= 2:
-                yield MultiplicityVector(comp, True)
-        return
-    if n % 2 == 0:
-        for comp in _compositions(n // 2):
-            d = tuple(2 * c for c in comp)
-            yield MultiplicityVector(d, False)
-            if len(d) >= 2:
-                yield MultiplicityVector(d, True)
-        return
-    for tail in range(1, n + 1, 2):
-        for comp in _compositions((n - tail) // 2):
-            d = tuple(2 * c for c in comp) + (tail,)
-            if len(d) >= 2:
-                yield MultiplicityVector(d, True)
+def _multiplicity_candidates(n: int, unit: int):
+    """``unit`` times each composition of N - z, then the zero tail z = N mod unit, + unit, ... < N if z > 0."""
+    for z in range(n % unit, n, unit):
+        for comp in _compositions((n - z) // unit):
+            yield MultiplicityVector(tuple([unit * c for c in comp]) + ((z,) if z else ()), z > 0)
 
 
 def enumerate_strata(case: ParticleCase, n: int) -> list[OrbitInvariants]:
     """All orbit types for the given case and N, sorted by orbit dimension.
 
-    Counted from the compositions there are 2^b - 1, with b = N (fermions:
-    b = floor(N/2)); b above ``MAX_LISTING_BITS`` is refused before any is built.
+    Fermion blocks come in pairs (unit 2, else 1).  Counted from the
+    compositions there are 2^b - 1, with b = floor(N / unit); b above
+    ``MAX_LISTING_BITS`` is refused before any is built.
     """
     check_case(case)
     check_integer("n", n, 2)
-    bits = n // 2 if case is ParticleCase.FERMION else n
+    unit = 2 if case is ParticleCase.FERMION else 1
+    bits = n // unit
     if bits > MAX_LISTING_BITS:
         raise ValidationError(f"N={n} has 2^{bits} - 1 strata; listings stop at 2^{MAX_LISTING_BITS} - 1")
-    strata = [invariants_for(mv, case) for mv in _multiplicity_candidates(case, n)]
+    strata = [invariants_for(mv, case) for mv in _multiplicity_candidates(n, unit)]
     strata.sort(key=lambda inv: (-inv.orbit_dim, -inv.degeneracy_D, inv.d.d))
     return strata
 
@@ -253,29 +241,20 @@ def representative_state(
 ) -> QuantumState:
     """A state realizing the given orbit type, with spectrum gaps >= 0.05.
 
-    The representative sits on the canonical slice; pass a seed to rotate it
-    off the slice by a deterministic random local unitary.
+    ``fiber_structure`` checks the pattern.  The state is the slice point of its
+    root spectrum s; a seed rotates it by a deterministic random local unitary.
     """
-    check_case(case)
-    if mv.degenerate and mv.k == 1:
-        raise InvalidStratum("single all-zero block is the zero state")
-    if case is ParticleCase.FERMION:
-        if any(d % 2 for d in mv.d[:-1]) or mv.n_levels % 2 != mv.d[-1] % 2:
-            raise InvalidStratum("fermion blocks must be even (odd N: odd zero tail)")
-        if mv.n_levels % 2 == 1 and not mv.degenerate:
-            raise InvalidStratum("odd-N fermion strata are always degenerate")
-    k = mv.k
+    fiber_structure(mv, case)
     # strictly decreasing block values with a uniform gap; a half-step floor
     # keeps the nondegenerate spectrum bounded away from zero
-    weights = [(k - j) if mv.degenerate else (k - j + 0.5) for j in range(1, k + 1)]
+    weights = [w if mv.degenerate else w + 0.5 for w in range(mv.k - 1, -1, -1)]
     scale = sum(d * w for d, w in zip(mv.d, weights))
+    s = np.concatenate([np.full(d, np.sqrt(w / scale)) for d, w in zip(mv.d, weights)])
     if case is ParticleCase.FERMION:
-        lam = np.concatenate([np.full(d // 2, np.sqrt(w / scale)) for d, w in zip(mv.d, weights)])
-        coeffs = fermion_pair_matrix(lam, mv.n_levels)
+        coeffs = fermion_pair_matrix(s[1::2], mv.n_levels)  # one value per pair of levels
     else:
-        p = np.concatenate([np.full(d, w / scale) for d, w in zip(mv.d, weights)])
-        coeffs = np.diag(np.sqrt(p).astype(complex))
-    state = validate(coeffs, case, tol=1e-12)
+        coeffs = np.diag(s.astype(complex))
+    state = validate(coeffs, case)
     if seed is not None:
         state = apply_group_action(state, random_local_unitary(case, mv.n_levels, seed))
     return state

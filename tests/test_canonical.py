@@ -1,5 +1,6 @@
 """Tests for Takagi, Youla, two-sided SVD, and slice canonicalization."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -587,6 +588,18 @@ class TestStoredForms:
         before = first.copy()
         first[...] = 7.0
         np.testing.assert_array_equal(image.q_spectrum, before)
+
+    @pytest.mark.parametrize("case, lambdas", [
+        (ParticleCase.BOSON, [0.8, 0.5, 0.3]), (ParticleCase.BOSON, [0.8, 0.6]),
+        (ParticleCase.FERMION, [0.8, 0.5, 0.3]), (ParticleCase.DISTINGUISHABLE, [[0.8, 0.6, 0.0, 0.0]]),
+    ], ids=["boson-long", "boson-pairs", "fermion-long", "dist-2d"])
+    def test_lambda_count_checked_when_built(self, case, lambdas):
+        # unchecked, 3 boson lambdas at N = 4 classify as N = 6 and reconstruct raises numpy's matmul error
+        cf = canonicalize(random_state(case, 4, 0))
+        with pytest.raises(ValidationError, match="lambdas"):
+            dataclasses.replace(cf, lambdas=np.array(lambdas))
+        with pytest.raises(ValidationError, match="case must be a ParticleCase"):
+            dataclasses.replace(cf, case="boson")
 
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_distinct_states_do_not_share(self, case):

@@ -1,5 +1,6 @@
 """Tests for the equivalence decision and witness construction."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -56,6 +57,22 @@ class TestLuEquivalent:
         g = random_local_unitary(case, 6, 13)
         verdict = lu_equivalent(s, apply_group_action(s, g))
         assert verdict.equivalent and verdict.witness_residual <= 1e-7
+
+    def test_non_unitary_witness_is_a_warning(self, monkeypatch):
+        # a witness composed from forms whose u is off by 1% fails the unitarity check of LocalUnitary
+        import luorbits.equivalence as equivalence_module
+
+        def skewed(state):
+            cf = canonicalize(state)
+            return dataclasses.replace(cf, witness_u=1.01 * cf.witness_u)
+
+        a = random_state(ParticleCase.BOSON, 3, 0)
+        b = apply_group_action(a, random_local_unitary(ParticleCase.BOSON, 3, 1))
+        monkeypatch.setattr(equivalence_module, "canonicalize", skewed)
+        verdict = lu_equivalent(a, b)
+        assert verdict.equivalent and verdict.witness is None
+        assert len(verdict.warnings) == 1 and verdict.warnings[0].startswith("witness failed")
+        assert "not unitary" in verdict.warnings[0]
 
     def test_distinct_boson_spectra_rejected(self):
         a = validate(np.diag([np.sqrt(0.7), np.sqrt(0.3)]), ParticleCase.BOSON)

@@ -204,7 +204,11 @@ class TestGroupAction:
         (lambda: LocalUnitary(ParticleCase.DISTINGUISHABLE, np.eye(2), np.eye(3)), DimensionMismatch),
         (lambda: LocalUnitary(ParticleCase.BOSON, np.eye(2)[:1]), NonSquareInput),
         (lambda: LocalUnitary("boson", np.eye(2)), ValidationError),
-    ], ids=["dist-without-v", "v-shape", "non-square", "label"])
+        (lambda: LocalUnitary(ParticleCase.BOSON, 2 * np.eye(2)), ValidationError),
+        (lambda: LocalUnitary(ParticleCase.BOSON, [[1, 1], [0, 1]]), ValidationError),
+        (lambda: LocalUnitary(ParticleCase.DISTINGUISHABLE, np.eye(2), [[1, 0], [0, 0.5]]), ValidationError),
+        (lambda: LocalUnitary(ParticleCase.BOSON, np.full((2, 2), 1e200)), ValidationError),
+    ], ids=["dist-without-v", "v-shape", "non-square", "label", "scaled", "shear", "dist-v", "huge"])
     def test_malformed_unitary_rejected_on_construction(self, make, error):
         with pytest.raises(error):
             make()

@@ -23,6 +23,7 @@ from luorbits import (
 )
 from luorbits.canonical import cluster_bounds
 from luorbits.strata import DEFAULT_CLUSTER_TOL, group_su_factor, sym_so_factor, sym_usp_factor, torus_factor
+from luorbits.strata import _compositions
 from conftest import ALL_CASES
 
 BOSON = ParticleCase.BOSON
@@ -78,6 +79,15 @@ class TestMultiplicityVector:
     def test_blocks_must_be_positive_integers(self, d):
         with pytest.raises(InvalidStratum, match="positive integers"):
             MultiplicityVector(d, False)
+
+    @pytest.mark.parametrize("d", [[2, 1], np.array([2, 1]), (np.int64(2), np.int64(1))],
+                             ids=["list", "array", "int64-entries"])
+    def test_blocks_stored_as_a_tuple_of_ints(self, d):
+        # stored as passed, a list would be unequal to the tuple and unhashable
+        mv = MultiplicityVector(d, False)
+        assert mv == MultiplicityVector((2, 1), False)
+        assert hash(mv) == hash(MultiplicityVector((2, 1), False))
+        assert type(mv.d) is tuple and all(type(b) is int for b in mv.d)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("case", [BOSON, FERMION])
@@ -323,6 +333,22 @@ class TestEnumerateStrata:
         with pytest.raises(ValidationError, match="listings stop at"):
             enumerate_strata(case, n)
 
+    @pytest.mark.parametrize("case", ALL_CASES)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_listing_is_every_pattern_the_fiber_accepts(self, case, n):
+        # the generator and the validity rule of fiber_structure agree
+        accepted = set()
+        for comp in _compositions(n):
+            for degenerate in (False, True):
+                try:
+                    fiber_structure(MultiplicityVector(comp, degenerate), case)
+                except InvalidStratum:
+                    continue
+                accepted.add((comp, degenerate))
+        listed = [(s.d.d, s.d.degenerate) for s in enumerate_strata(case, n)]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == accepted
+
     def test_fermion_block_parity(self):
         for n in range(2, 7):
             for s in enumerate_strata(FERMION, n):
@@ -364,6 +390,10 @@ class TestRepresentativeState:
         representative_state(mv, BOSON, None)
         representative_state(mv, BOSON, np.int64(0))
 
-    def test_invalid_fermion_parity_rejected(self):
+    @pytest.mark.parametrize("case, d, degenerate", [
+        (FERMION, (3, 1), False), (FERMION, (2, 2, 1), False), (FERMION, (1, 2), True),
+        (FERMION, (2, 1, 1), True), (FERMION, (2,), True), (BOSON, (2,), True),
+    ], ids=["fermion-3-1", "fermion-2-2-1", "fermion-1-2-zero", "fermion-2-1-1-zero", "fermion-2-zero", "boson-2-zero"])
+    def test_invalid_fermion_parity_rejected(self, case, d, degenerate):
         with pytest.raises(InvalidStratum):
-            representative_state(MultiplicityVector((3, 1), False), FERMION)
+            representative_state(MultiplicityVector(d, degenerate), case)
