@@ -14,15 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailure, NonSquareInput, ValidationError
-from .states import (ParticleCase, QuantumState, check_case, check_integer, into_special_unitary, scaled_array,
-                     symmetrized)
+from .states import (ParticleCase, QuantumState, check_case, check_integer, complex_array, into_special_unitary,
+                     scaled_array, symmetrized)
 
 # Numeric cluster threshold of the congruence forms, relative to s0; it is
-# not the semantic stratum tolerance.  A singleton's phase fix is off by about
-# eps * s0 / gap, which breaks the 1e-10 residual bar below a gap of about
-# 2e-6 * s0, so gaps up to 1e-4 * s0 are fixed as one cluster.  The cluster
-# root stays exact for any gap inside a cluster.
-CLUSTER_TOL = 1e-4
+# not the semantic stratum tolerance.  The SVD couples two clusters a gap apart
+# at about 40-60 eps * s0 / gap (measured, not the 1x of a plain eps * s0 / gap),
+# which meets the 1e-10 residual bar near a gap of 1e-4 * s0, so gaps up to
+# 1e-3 * s0 are fixed as one cluster, whose root is exact for any inner gap.
+CLUSTER_TOL = 1e-3
 SNAP_TOL = 1e-12
 SYMMETRY_PRE_TOL = 1e-10
 
@@ -36,7 +36,6 @@ class CanonicalForm:
     """
 
     case: ParticleCase
-    n_levels: int
     lambdas: np.ndarray
     witness_u: np.ndarray
     witness_v: np.ndarray | None
@@ -48,6 +47,10 @@ class CanonicalForm:
         count = self.n_levels // 2 if self.case is ParticleCase.FERMION else self.n_levels
         if np.ndim(self.lambdas) != 1 or len(self.lambdas) != count:
             raise ValidationError(f"N={self.n_levels} needs {count} lambdas, got shape {np.shape(self.lambdas)}")
+
+    @property
+    def n_levels(self) -> int:
+        return len(self.witness_u)
 
     @property
     def residual(self) -> float:
@@ -216,10 +219,7 @@ def svd_congruence(c):
 def fermion_pair_matrix(lam, n: int) -> np.ndarray:
     """Block matrix sum_j lam_j J_2 padded with a zero row/column for odd n."""
     check_integer("n", n, 1)
-    try:
-        lam = np.asarray(lam, dtype=complex)
-    except (OverflowError, ValueError, TypeError) as exc:
-        raise ValidationError(f"lam must be a vector of numbers: {exc}") from None
+    lam = complex_array(lam, "lam")
     if lam.ndim != 1 or len(lam) > n // 2:
         raise ValidationError(f"expected at most {n // 2} pair values for n={n}, got shape {lam.shape}")
     out = np.zeros((n, n), dtype=complex)
@@ -267,4 +267,4 @@ def _canonical_form(state: QuantumState) -> CanonicalForm:
         v.setflags(write=False)
     u.setflags(write=False)
     lam.setflags(write=False)
-    return CanonicalForm(state.case, state.n_levels, lam, u, v, complex(phase), c)
+    return CanonicalForm(state.case, lam, u, v, complex(phase), c)

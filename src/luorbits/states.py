@@ -62,14 +62,21 @@ class QuantumState:
     """
 
     case: ParticleCase
-    n_levels: int
     coeffs: np.ndarray
     _derived: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def n_levels(self) -> int:
+        return len(self.coeffs)
 
 
 @dataclass(frozen=True, eq=False)
 class LocalUnitary:
-    """Element of SU(N), or SU(N) x SU(N) for dist; u and v are stored as read-only, checked unitary copies."""
+    """Local unitary u, or (u, v) for dist, stored as read-only, checked unitary copies.
+
+    Any unitary is accepted: the state is a ray, so a determinant other than 1
+    changes only its global phase.  The witnesses the package builds are in SU(N).
+    """
 
     case: ParticleCase
     u: np.ndarray
@@ -95,10 +102,6 @@ class LocalUnitary:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def _make_state(case: ParticleCase, coeffs: np.ndarray) -> QuantumState:
-    return QuantumState(case, coeffs.shape[0], _freeze(coeffs))
 
 
 def check_tolerance(name: str, tol, *, positive: bool = False, below: float = math.inf) -> None:
@@ -173,7 +176,7 @@ def validate(raw, case: ParticleCase, tol: float = DEFAULT_SYMMETRY_TOL) -> Quan
     norm = np.linalg.norm(arr)
     if norm == 0.0:
         raise ZeroState("coefficient matrix is zero")
-    return _make_state(case, arr / norm)
+    return QuantumState(case, _freeze(arr / norm))
 
 
 def _check_compatible(state: QuantumState, g: LocalUnitary) -> None:
@@ -193,7 +196,7 @@ def apply_group_action(state: QuantumState, g: LocalUnitary) -> QuantumState:
         out = (out + sign * out.T) / 2.0
     else:
         out = g.u @ c @ g.v.T
-    return _make_state(state.case, out)
+    return QuantumState(state.case, _freeze(out))
 
 
 def random_state(case: ParticleCase, n: int, seed: int) -> QuantumState:
@@ -244,37 +247,18 @@ def complex_matrix_to_json(mat: np.ndarray) -> list:
 
 
 def complex_matrix_from_json(rows, n: int) -> np.ndarray:
-    """Decode a [[re, im], ...] matrix, rejecting ragged rows and NaN/Inf."""
-    if not isinstance(rows, list) or not rows:
-        raise ParseError("matrix must be a non-empty list of rows")
-    width = None
-    out = []
-    for row in rows:
-        if not isinstance(row, list):
-            raise ParseError("matrix rows must be lists")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError("ragged matrix rows")
-        entries = []
-        for entry in row:
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in entry)
-            ):
-                raise ParseError("matrix entries must be [re, im] number pairs")
-            try:
-                real, imag = float(entry[0]), float(entry[1])
-            except OverflowError:  # an int literal beyond the float range
-                raise ParseError("matrix entries must be finite") from None
-            if not (math.isfinite(real) and math.isfinite(imag)):
-                raise ParseError("matrix entries must be finite")
-            entries.append(complex(real, imag))
-        out.append(entries)
-    if len(out) != n or width != n:
-        raise ParseError(f"matrix shape {len(out)}x{width} does not match n={n}")
-    return np.array(out, dtype=complex)
+    """Decode an n x n matrix of [re, im] number pairs through the intake, complex_array."""
+    try:
+        parts = np.array(rows, dtype=object)
+    except ValueError:  # numpy arrays of unequal shapes nested in the rows; JSON cannot hold them
+        parts = np.empty(0, dtype=object)
+    all_numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts.flat)
+    if parts.shape != (n, n, 2) or not all_numbers:
+        raise ParseError(f"matrix must be {n} x {n} [re, im] pairs of numbers")
+    try:
+        return complex_array(parts.astype(float).view(complex)[..., 0], "matrix")
+    except (OverflowError, ValidationError):  # an int beyond the float range, NaN or Inf
+        raise ParseError("matrix entries must be finite") from None
 
 
 def state_to_dict(state: QuantumState) -> dict:

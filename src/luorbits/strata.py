@@ -40,14 +40,17 @@ class MultiplicityVector:
     d: tuple[int, ...]
     degenerate: bool
 
-    def __post_init__(self):  # d stored as a tuple of Python ints
+    def __post_init__(self):  # d stored as a tuple of Python ints, degenerate as a bool
         try:
             d = tuple([operator.index(b) for b in self.d])
         except TypeError:
             d = ()
         if not d or min(d) <= 0:
             raise InvalidStratum(f"blocks must be one or more positive integers, got {self.d!r}")
+        if not isinstance(self.degenerate, (bool, np.bool_)):
+            raise InvalidStratum(f"degenerate must be a bool, got {self.degenerate!r}")
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "degenerate", bool(self.degenerate))
 
     @property
     def k(self) -> int:

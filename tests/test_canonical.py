@@ -150,9 +150,10 @@ class TestYoula:
         with pytest.raises(SymmetryViolation):
             youla_antisymmetric(np.eye(2))
 
-    @pytest.mark.parametrize("lam, n", [([1, 2, 3], 4), ([1, 2], 3), ([[1, 2]], 4), ([1], 2.0), ([1], 0)])
+    @pytest.mark.parametrize("lam, n", [([1, 2, 3], 4), ([1, 2], 3), ([[1, 2]], 4), ([1], 2.0), ([1], 0),
+                                        ([1.0, np.nan], 4), ([np.inf], 2), ([-np.inf], 3)])
     def test_pair_matrix_rejects_what_does_not_fit(self, lam, n):
-        # three pair values at n = 4 used to raise a raw IndexError
+        # three pair values at n = 4 used to raise a raw IndexError; NaN came back as a NaN matrix
         with pytest.raises(ValidationError):
             fermion_pair_matrix(lam, n)
 
@@ -222,6 +223,23 @@ class TestClusteredSpectra:
             bar = 1e-10 * max(1.0, np.sqrt(2.0) * np.linalg.norm(lam))
         assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-12
         assert np.linalg.norm(c - u @ core @ u.T) <= bar
+
+    @pytest.mark.parametrize("sign, values, seed", [
+        (1, [1, 0.9999999, 0.9999989, 0.9999979, 0.99989424, 0.99989382, 0.99989339, 0.99989329,
+             0.49994665, 0.4994467], 170),
+        (-1, [1.0, 0.9999999976507368, 0.9998890815449036, 0.9998890793189499, 0.5405360797841204], 58),
+    ], ids=["takagi", "youla"])
+    def test_two_clusters_just_past_a_1e_4_cut(self, sign, values, seed):
+        # clusters 1.04e-4 and 1.11e-4 apart: split at a 1e-4 cut, the residual read 1.011e-10 and
+        # 1.217e-10 against the 1e-10 bar, and both raised ConvergenceFailure
+        w = haar_special_unitary(10, np.random.default_rng(seed))
+        core = np.diag(values) if sign > 0 else fermion_pair_matrix(values, 10)
+        c = w @ core @ w.T
+        u, lam = takagi(c) if sign > 0 else youla_antisymmetric(c)
+        np.testing.assert_allclose(lam, values, rtol=0, atol=1e-13)
+        assert_unitary(u)
+        core = np.diag(lam) if sign > 0 else fermion_pair_matrix(lam, 10)
+        assert np.linalg.norm(c - u @ core @ u.T) <= 1e-12
 
 
 class TestCongruenceScale:
@@ -600,6 +618,14 @@ class TestStoredForms:
             dataclasses.replace(cf, lambdas=np.array(lambdas))
         with pytest.raises(ValidationError, match="case must be a ParticleCase"):
             dataclasses.replace(cf, case="boson")
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_n_levels_read_from_the_witness(self, case):
+        # N used to be a field of its own, and replace(cf, n_levels=4.0) was accepted
+        cf = canonicalize(random_state(case, 5, 0))
+        assert cf.n_levels == 5
+        with pytest.raises(TypeError, match="n_levels"):
+            dataclasses.replace(cf, n_levels=4.0)
 
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_distinct_states_do_not_share(self, case):

@@ -18,6 +18,7 @@ from luorbits import (
     NonSquareInput,
     ParseError,
     ParticleCase,
+    QuantumState,
     SymmetryViolation,
     ValidationError,
     ZeroState,
@@ -39,6 +40,7 @@ from luorbits import (
     validate,
     youla_antisymmetric,
 )
+from luorbits.states import complex_matrix_from_json
 from conftest import (
     ALL_CASES,
     algebra_action,
@@ -192,6 +194,21 @@ class TestGroupAction:
         with pytest.raises(DimensionMismatch):
             apply_group_action(s, random_local_unitary(ParticleCase.BOSON, 3, 0))
 
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_n_levels_read_from_the_coefficients(self, case):
+        # N used to be a second field: QuantumState(BOSON, 3, 2 x 2) was built, and acting on it
+        # with a 3 x 3 unitary raised numpy's raw matmul error
+        s = QuantumState(case, np.ones((2, 2)))
+        assert s.n_levels == 2
+        with pytest.raises(DimensionMismatch):
+            apply_group_action(s, random_local_unitary(case, 3, 0))
+
+    def test_any_unitary_acts_up_to_a_global_phase(self):
+        # det(i I) = -1 lies outside SU(2); on the ray it is the phase i^2
+        s = random_state(ParticleCase.BOSON, 2, 0)
+        moved = apply_group_action(s, LocalUnitary(ParticleCase.BOSON, 1j * np.eye(2)))
+        np.testing.assert_allclose(moved.coeffs, -s.coeffs, rtol=0, atol=1e-15)
+
     def test_unitary_given_as_nested_lists(self):
         # the stored u used to be the list itself, and the action read its .shape
         s = random_state(ParticleCase.BOSON, 2, 0)
@@ -311,6 +328,11 @@ class TestRandomGenerators:
         make(np.int64(0))
 
 
+def with_entry(entry):
+    """A 2 x 2 state-file matrix with ``entry`` in place of its first [re, im] pair."""
+    return [[entry, [0, 0]], [[0, 0], [1, 0]]]
+
+
 class TestStateFiles:
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_round_trip(self, case):
@@ -359,6 +381,50 @@ class TestStateFiles:
         entry[part] = 10**400
         with pytest.raises(ParseError, match="finite"):
             state_from_dict({"case": "boson", "n": 2, "matrix": [[entry, [0, 0]], [[0, 0], [1, 0]]]})
+
+    # every payload is a value json.load can produce: it goes through json.dumps and json.loads first
+    BAD_MATRICES = {
+        "ragged": [[[1, 0], [0, 0]], [[0, 0]]],
+        "short-entry": with_entry([1]),
+        "long-entry": with_entry([1, 0, 0]),
+        "deeper-entry": with_entry([1, [0]]),
+        "deeper-everywhere": [[[[1], [0]], [[0], [0]]], [[[0], [0]], [[1], [0]]]],
+        "row-not-a-list": [[[1, 0], [0, 0]], 7],
+        "row-string": [[[1, 0], [0, 0]], "ab"],
+        "row-dict": [[[1, 0], [0, 0]], {"0": [1, 0], "1": [0, 0]}],
+        "matrix-dict": {"0": [[1, 0], [0, 0]], "1": [[0, 0], [1, 0]]},
+        "matrix-string": "[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]",
+        "matrix-none": None,
+        "empty": [],
+        "part-string": with_entry(["1", 0]),
+        "part-bool": with_entry([True, 0]),
+        "part-none": with_entry([None, 0]),
+        "part-list": with_entry([[1], 0]),
+        "int-beyond-float": with_entry([10**400, 0]),
+        "nan": with_entry([float("nan"), 0]),
+        "inf": with_entry([0, float("inf")]),
+        "minus-inf": with_entry([float("-inf"), 0]),
+        "three-columns": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]],
+        "one-row": [[[1, 0], [0, 0]]],
+        "n-mismatch": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]],
+    }
+
+    @pytest.mark.parametrize("matrix", list(BAD_MATRICES.values()), ids=list(BAD_MATRICES))
+    def test_malformed_matrix_is_a_parse_error(self, matrix):
+        payload = json.loads(json.dumps({"case": "boson", "n": 2, "matrix": matrix}))
+        with pytest.raises(ParseError, match="matrix"):
+            state_from_dict(payload)
+
+    @pytest.mark.parametrize("n", [2, 5, 64])
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_decoding_is_lossless(self, case, n):
+        s = random_state(case, n, 4)
+        data = json.loads(json.dumps(state_to_dict(s)))
+        decoded = complex_matrix_from_json(data["matrix"], n)
+        assert decoded.dtype == complex and decoded.shape == (n, n)
+        assert decoded.tobytes() == s.coeffs.tobytes()
+        # validate renormalizes, which may move a last bit: compare with validating the original
+        assert state_from_dict(data).coeffs.tobytes() == validate(s.coeffs, case).coeffs.tobytes()
 
 
 class TestPublicSurface:

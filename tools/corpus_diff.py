@@ -43,7 +43,8 @@ WORKLOADS = ("desk-small", "large-n", "oracle-sweep", "cli-cold")
 LAMBDA_TOL = 1e-12
 # fields whose every difference fails the diff (a suffix of the field name)
 EXACT = (".d.d", ".d.degenerate", ".equivalent", "exception", "exit_code", "checks_ok")
-PROPERTIES = {"CanonicalForm": ("residual",), "MomentImage": ("q_spectrum",)}
+PROPERTIES = {"CanonicalForm": ("n_levels", "residual"), "MomentImage": ("q_spectrum",),
+              "QuantumState": ("n_levels",)}
 
 
 # ---------------------------------------------------------------------------
