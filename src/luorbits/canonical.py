@@ -17,11 +17,10 @@ from .errors import ConvergenceFailure, NonSquareInput, ValidationError
 from .states import (ParticleCase, QuantumState, check_case, check_integer, complex_array, into_special_unitary,
                      scaled_array, symmetrized)
 
-# Numeric cluster threshold of the congruence forms, relative to s0; it is
-# not the semantic stratum tolerance.  The SVD couples two clusters a gap apart
-# at about 40-60 eps * s0 / gap (measured, not the 1x of a plain eps * s0 / gap),
-# which meets the 1e-10 residual bar near a gap of 1e-4 * s0, so gaps up to
-# 1e-3 * s0 are fixed as one cluster, whose root is exact for any inner gap.
+# Numeric cluster threshold of the congruence forms, relative to s0 (not the
+# stratum tolerance).  The SVD couples two clusters a gap apart at 40-60x, not
+# 1x, eps * s0 / gap (measured), reaching the 1e-10 residual bar near a gap of
+# 1e-4 * s0; gaps up to 1e-3 * s0 form one cluster, whose root is exact inside.
 CLUSTER_TOL = 1e-3
 SNAP_TOL = 1e-12
 SYMMETRY_PRE_TOL = 1e-10
@@ -44,6 +43,8 @@ class CanonicalForm:
 
     def __post_init__(self):
         check_case(self.case)
+        if np.ndim(self.witness_u) != 2 or np.shape(self.witness_u)[0] != np.shape(self.witness_u)[1]:
+            raise ValidationError(f"witness_u: expected a square matrix, got shape {np.shape(self.witness_u)}")
         count = self.n_levels // 2 if self.case is ParticleCase.FERMION else self.n_levels
         if np.ndim(self.lambdas) != 1 or len(self.lambdas) != count:
             raise ValidationError(f"N={self.n_levels} needs {count} lambdas, got shape {np.shape(self.lambdas)}")

@@ -618,6 +618,10 @@ class TestStoredForms:
             dataclasses.replace(cf, lambdas=np.array(lambdas))
         with pytest.raises(ValidationError, match="case must be a ParticleCase"):
             dataclasses.replace(cf, case="boson")
+        # N is read from the witness, so it must be a square matrix
+        for witness in (None, cf.witness_u[:, :3], cf.witness_u[0]):
+            with pytest.raises(ValidationError, match="witness_u: expected a square matrix"):
+                dataclasses.replace(cf, witness_u=witness)
 
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_n_levels_read_from_the_witness(self, case):

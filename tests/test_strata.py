@@ -87,6 +87,7 @@ class TestMultiplicityVector:
         mv = MultiplicityVector(d, False)
         assert mv == MultiplicityVector((2, 1), False)
         assert hash(mv) == hash(MultiplicityVector((2, 1), False))
+        assert type(mv.d) is tuple and all(type(b) is int for b in mv.d)
 
     @pytest.mark.parametrize("flag", ["no", 1, None])
     def test_degenerate_flag_must_be_a_bool(self, flag):
@@ -97,7 +98,6 @@ class TestMultiplicityVector:
     def test_numpy_bool_flag_stored_as_a_bool(self):
         mv = MultiplicityVector((2, 1), np.bool_(True))
         assert mv.degenerate is True and mv == MultiplicityVector((2, 1), True)
-        assert type(mv.d) is tuple and all(type(b) is int for b in mv.d)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("case", [BOSON, FERMION])
