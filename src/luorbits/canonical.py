@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailure, NonSquareInput, ValidationError
+from .moment import state_svd
 from .states import (ParticleCase, QuantumState, check_case, check_integer, complex_array, into_special_unitary,
                      scaled_array, symmetrized)
 
@@ -24,6 +25,7 @@ from .states import (ParticleCase, QuantumState, check_case, check_integer, comp
 CLUSTER_TOL = 1e-3
 SNAP_TOL = 1e-12
 SYMMETRY_PRE_TOL = 1e-10
+_LABELS = {1: "takagi", -1: "youla", None: "svd"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,22 +157,27 @@ def _congruence_basis(v, s, wh, sign: int, n_live: int) -> np.ndarray:
 
 
 def _congruence_form(c, sign: int | None):
-    """Factor c = U core W^t from one SVD; returns (U, s, W), W None for sign +-1.
-
-    sign +1: c symmetric, core diag(s), W = U.  sign -1: c antisymmetric,
-    core sum_j s_2j J_2, W = U.  sign None: any square c, core diag(s), and
-    U, W from the SVD itself.  s holds all N singular values, descending, with
-    those at or below SNAP_TOL * s0 set to zero; the factorization returned is
-    the one checked against 1e-10 * max(1, s0).
-    """
-    label = {1: "takagi", -1: "youla", None: "svd"}[sign]
+    """The intake of a raw array (``scaled_array``, ``symmetrized``), then ``_factored``."""
+    label = _LABELS[sign]
     c, e = scaled_array(c, label)
     if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
         raise NonSquareInput(f"{label}: expected a nonempty square matrix, got shape {c.shape}")
-    c = symmetrized(c, sign, SYMMETRY_PRE_TOL)
-    n = c.shape[0]
+    return _factored(symmetrized(c, sign, SYMMETRY_PRE_TOL), e, sign)
+
+
+def _factored(c, e: int, sign: int | None, svd=None):
+    """Factor c 2^e = U core W^t from one SVD of c (``svd``, left unchanged, or taken here).
+
+    Returns (U, s, W), W None for sign +-1.  sign +1: c symmetric, core diag(s),
+    W = U.  sign -1: c antisymmetric, core sum_j s_2j J_2, W = U.  sign None:
+    core diag(s), U and W from the SVD itself.  s holds all N singular values,
+    descending, those at or below SNAP_TOL * s0 set to zero; the factorization
+    returned is the one checked against 1e-10 * max(1, s0).
+    """
+    label = _LABELS[sign]
     try:
-        v, s, wh = np.linalg.svd(c)
+        v, s, wh = np.linalg.svd(c) if svd is None else svd
+        s = s.copy()  # the snap writes into a copy, never into a stored s
         n_live = int(np.count_nonzero(s > SNAP_TOL * s[0]))
         if sign == -1:
             n_live += n_live % 2  # a pair straddling the snap stays whole
@@ -182,6 +189,7 @@ def _congruence_form(c, sign: int | None):
             right = u.T
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"{label}: {exc}") from exc
+    n = len(s)
     left = u @ fermion_pair_matrix(s[: 2 * (n // 2) : 2], n) if sign == -1 else u * s
     if math.frexp(s[0])[1] + e > 1024:  # s0 * 2^e, s0 at the caller's scale, is beyond the float range
         raise ValidationError(f"{label}: singular value {s[0]:.6f} * 2^{e} exceeds the float range")
@@ -243,23 +251,20 @@ def reconstruct(cf: CanonicalForm) -> np.ndarray:
 def canonicalize(state: QuantumState) -> CanonicalForm:
     """Reduce a state to its unique slice representative with SU(N) witnesses.
 
-    The form is computed once per state and stored on it; later calls return
-    the same object.
+    The form is factored from the state's one SVD, with no second intake, and
+    stored on the state in its place; later calls return the same object.
     """
     derived = state._derived
     if "canonical" not in derived:
         derived["canonical"] = _canonical_form(state)
+        del derived["svd"]
     return derived["canonical"]
 
 
 def _canonical_form(state: QuantumState) -> CanonicalForm:
-    c = state.coeffs
-    if state.case is ParticleCase.BOSON:
-        (u, lam), v = takagi(c), None
-    elif state.case is ParticleCase.FERMION:
-        (u, lam), v = youla_antisymmetric(c), None
-    else:
-        u, lam, v = svd_congruence(c)
+    c, sign = state.coeffs, state.case.symmetry_sign
+    u, s, v = _factored(c, 0, sign, state_svd(state))
+    lam = s[: 2 * (len(s) // 2) : 2] if sign == -1 else s
     u, zu = into_special_unitary(u)
     phase = zu ** -2
     if v is not None:

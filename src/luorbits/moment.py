@@ -3,9 +3,10 @@
 The moment image of a state is rho - I/N, with rho = C C^dag / Tr(C^dag C) the
 (left) one-particle reduced matrix.  Its coadjoint orbit is fixed by the
 spectrum p of rho, so the image is held as (case, N, p): p is the squared
-singular values of C over their sum, from one values-only SVD, and rho itself
-is never built.  Comparisons are spectrum-based, so the positive scale factor
-dropped from the anti-Hermitian convention never affects a decision.
+singular values of C over their sum, from the state's one SVD (shared with
+``canonicalize``, whichever asks first), and rho itself is never built.
+Comparisons are spectrum-based, so the positive scale factor dropped from the
+anti-Hermitian convention never affects a decision.
 """
 
 from __future__ import annotations
@@ -41,20 +42,21 @@ class MomentImage:
 
 
 def reduced_matrix(state: QuantumState) -> MomentImage:
-    """Compute the moment image of a state.
-
-    The image is computed once per state and stored on it; later calls return
-    the same object.
-    """
+    """Compute the moment image of a state, stored on it with its SVD; later calls return the same object."""
     derived = state._derived
     if "moment" not in derived:
-        derived["moment"] = _moment_image(state)
+        state_svd(state)
     return derived["moment"]
 
 
-def _moment_image(state: QuantumState) -> MomentImage:
-    try:
-        s = np.linalg.svd(state.coeffs, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"moment svd: {exc}") from exc
-    return MomentImage(state.case, state.n_levels, s**2 / np.sum(s**2))
+def state_svd(state: QuantumState):
+    """The state's one SVD (V, s, W^dag), read-only; taken on first need and stored with its image p."""
+    derived = state._derived
+    if "svd" not in derived:
+        try:
+            v, s, wh = map(_freeze, np.linalg.svd(state.coeffs))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"svd: {exc}") from exc
+        derived["moment"] = MomentImage(state.case, state.n_levels, s**2 / np.sum(s**2))
+        derived["svd"] = v, s, wh
+    return derived["svd"]

@@ -65,6 +65,12 @@ class QuantumState:
     coeffs: np.ndarray
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
+    def __post_init__(self):  # N is read from coeffs
+        check_case(self.case)
+        c = self.coeffs
+        if not (isinstance(c, np.ndarray) and c.ndim == 2 and c.shape[0] == c.shape[1] > 0):
+            raise NonSquareInput(f"coeffs: expected a nonempty square numpy array, got {type(c).__name__}")
+
     @property
     def n_levels(self) -> int:
         return len(self.coeffs)

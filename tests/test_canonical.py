@@ -29,6 +29,7 @@ from luorbits import (
     youla_antisymmetric,
 )
 from luorbits import canonical as canonical_module
+from luorbits import equivalence as equivalence_module
 from luorbits.cli import main
 from luorbits.states import haar_special_unitary, state_to_dict
 from conftest import ALL_CASES, assert_special_unitary, assert_unitary
@@ -386,16 +387,14 @@ class TestLapackFailure:
 
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_witness_failure_keeps_the_verdict(self, case, monkeypatch):
-        # only the full SVDs of the canonical forms fail; the spectrum stands
+        # the spectrum and the form share one SVD, so only the form can fail
+        # alone; the spectrum stands
         s = random_state(case, 4, 0)
-        svd = np.linalg.svd
 
-        def values_only(*args, **kwargs):
-            if kwargs.get("compute_uv", True):
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return svd(*args, **kwargs)
+        def no_form(state):
+            raise ConvergenceFailure("form did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", values_only)
+        monkeypatch.setattr(equivalence_module, "canonicalize", no_form)
         verdict = lu_equivalent(s, s)
         assert verdict.equivalent and verdict.witness is None
         assert len(verdict.warnings) == 1 and verdict.warnings[0].startswith("witness failed")
@@ -630,6 +629,53 @@ class TestStoredForms:
         assert cf.n_levels == 5
         with pytest.raises(TypeError, match="n_levels"):
             dataclasses.replace(cf, n_levels=4.0)
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_one_svd_whichever_asks_first(self, case, monkeypatch):
+        # the spectrum and the form come from the state's one SVD, so the order
+        # in which they are asked for moves no bit
+        rng = np.random.default_rng(12)
+        raw = 3.0 * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        if case.symmetry_sign is not None:
+            raw = raw + case.symmetry_sign * raw.T
+        first, second = validate(raw, case), validate(raw, case)
+        factored = []
+        svd = np.linalg.svd
+
+        def recorded_svd(a, *args, **kwargs):
+            factored.append(a)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+        cf_first, p_first = canonicalize(first), reduced_matrix(first).probabilities
+        p_second, cf_second = reduced_matrix(second).probabilities, canonicalize(second)
+        monkeypatch.undo()
+        assert len(factored) == 2 and factored[0] is first.coeffs and factored[1] is second.coeffs
+        assert p_first.tobytes() == p_second.tobytes()
+        witnesses = ("witness_u", "witness_v") if case is ParticleCase.DISTINGUISHABLE else ("witness_u",)
+        for name in ("lambdas", *witnesses):
+            assert getattr(cf_first, name).tobytes() == getattr(cf_second, name).tobytes()
+        raw_form = {ParticleCase.BOSON: takagi, ParticleCase.FERMION: youla_antisymmetric,
+                    ParticleCase.DISTINGUISHABLE: svd_congruence}[case]
+        np.testing.assert_allclose(cf_first.lambdas, raw_form(first.coeffs)[1], rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_factors_dropped_once_the_form_is_stored(self, case):
+        s = random_state(case, 5, 7)
+        reduced_matrix(s)
+        assert all(not arr.flags.writeable for arr in s._derived["svd"])
+        canonicalize(s)
+        assert set(s._derived) == {"moment", "canonical"}
+
+    def test_snap_leaves_the_stored_spectrum(self):
+        # the form snaps s3 = 1e-14 to zero in a copy; p keeps the value from the SVD
+        w = haar_special_unitary(3, np.random.default_rng(3))
+        s = validate((w * [0.8, 0.6, 1e-14]) @ w.T, ParticleCase.BOSON)
+        image = reduced_matrix(s)
+        before = image.probabilities.copy()
+        assert before[2] > 0.0
+        assert canonicalize(s).lambdas[2] == 0.0
+        assert reduced_matrix(s) is image and image.probabilities.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_distinct_states_do_not_share(self, case):

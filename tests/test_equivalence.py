@@ -113,9 +113,8 @@ class TestLuEquivalent:
 class TestOneDecompositionPerState:
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_classify_and_decide_call_budget(self, case, monkeypatch):
-        # one full SVD per state canonicalized (a and its rotated copy), one
-        # values-only SVD per state whose spectrum is read (a, the copy, the
-        # partner), and no eigvalsh
+        # one SVD per state (a, its rotated copy, the partner), shared by the
+        # spectrum and the canonical form, and no eigvalsh
         raw = random_state(case, 5, 3).coeffs
         g = random_local_unitary(case, 5, 4)
         partner = random_state(case, 5, 5)
@@ -142,7 +141,7 @@ class TestOneDecompositionPerState:
         eq = lu_equivalent(a, apply_group_action(a, g))
         ne = lu_equivalent(a, partner)
         assert eq.witness is not None and not ne.equivalent
-        assert calls == {"svd": 2, "values-only svd": 3}
+        assert calls == {"svd": 3}
 
 
 def stratum(s):

@@ -145,8 +145,8 @@ class TestAgainstFullCoordinateReference:
 
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_three_svds_with_one_batched_symplectic_call(self, case, monkeypatch):
-        # one values-only SVD of C for the moment spectrum, one for the orbit
-        # rank, one for all Gram blocks together
+        # the state's one full SVD of C for the moment spectrum, one values-only
+        # SVD for the orbit rank, one for all Gram blocks together
         n = 4
         s = random_state(case, n, 5)
         calls = []
@@ -159,7 +159,7 @@ class TestAgainstFullCoordinateReference:
         monkeypatch.setattr(np.linalg, "svd", recorded_svd)
         oracle_check(s)
         assert len(calls) == 3
-        assert calls[0] == ((n, n), False)
+        assert calls[0] == ((n, n), True)
         groups = 2 if case is DIST else 1
         assert calls[-1][0] == (groups, n * n - 1, n * n - 1)
 

@@ -203,6 +203,14 @@ class TestGroupAction:
         with pytest.raises(DimensionMismatch):
             apply_group_action(s, random_local_unitary(case, 3, 0))
 
+    @pytest.mark.parametrize("coeffs", [None, np.ones(3), np.ones((2, 3)), [[1.0, 0.0], [0.0, 1.0]], np.ones((0, 0))],
+                             ids=["none", "vector", "2x3", "nested-list", "empty"])
+    def test_coefficients_must_be_a_square_array(self, coeffs):
+        # N is read from coeffs: None raised a raw TypeError, a vector read N = 3,
+        # and a 2 x 3 matrix got a 2-entry moment image
+        with pytest.raises(NonSquareInput, match="square numpy array"):
+            QuantumState(ParticleCase.BOSON, coeffs)
+
     def test_any_unitary_acts_up_to_a_global_phase(self):
         # det(i I) = -1 lies outside SU(2); on the ray it is the phase i^2
         s = random_state(ParticleCase.BOSON, 2, 0)
@@ -490,6 +498,7 @@ class TestCaseArgument:
     MV = MultiplicityVector((2, 2), False)
     ENTRIES = {
         "validate": lambda case: validate(np.eye(2), case),
+        "QuantumState": lambda case: QuantumState(case, np.eye(2)),
         "random_state": lambda case: random_state(case, 3, 0),
         "random_local_unitary": lambda case: random_local_unitary(case, 3, 0),
         "enumerate_strata": lambda case: enumerate_strata(case, 4),
