@@ -5,7 +5,7 @@ represented by complex N x N coefficient matrices.  The package computes
 moment-map spectra, canonical slice representatives, orbit and moment-fiber
 dimensions, decides local-unitary equivalence with explicit witnesses, and
 cross-checks every closed-form dimension against a numerical symplectic
-oracle.
+oracle at the slice point.
 """
 
 from .canonical import (

@@ -1,20 +1,22 @@
-"""Numerical verification of orbit dimensions and symplectic rank.
+"""Numerical verification of orbit dimensions and symplectic rank at the slice point.
 
-Everything here is computed by plain linear algebra on fundamental vector
-fields: the real rank of the projected tangent collection gives the orbit
-dimension, and the rank of the symplectic Gram form gives the rank of the
-projective-space two-form restricted to the orbit.  No closed-form dimension
-formula enters, so these routines serve as an independent check of the
-stratum classification.
+What the oracle checks: the closed-form dimension formulas of ``strata``
+against the rank of the local algebra action, computed at the state's slice
+point Lambda.  What it trusts: the state's one SVD, and the Takagi, Youla and
+SVD normal-form theorems that put Lambda on the state's orbit.  The dense
+route at C over the whole algebra basis, which shares nothing with the
+classification, is kept in the test suite as the reference it is pinned to.
 
-Boson and fermion tangents live in Sym(N) or Alt(N), so they are stored by
-their upper triangle with off-diagonal entries weighted by sqrt(2).  Entries
-(r, k) and (k, r) agree up to sign, so sqrt(2) times one of them carries the
-pair's share of every inner product: packing is an isometry, and projections,
-singular values and Gram matrices are those of the full N x N coordinates.
-Distinguishable tangents come in two groups, xi (x) 1 and 1 (x) eta.  The two
-commute, and Im <A v, B v> is proportional to <v, [A, B] v>, so the two-form
-between the groups vanishes and the Gram splits into one block per group.
+The two-particle actions are spherical, so every local orbit meets the slice
+of canonical forms, and Lambda is fixed by the root spectrum s of the SVD.  The
+orbit rank and the rank of the projective two-form on the orbit are orbit
+invariants over a Frobenius-orthonormal su(N) basis: off-diagonals
+(E_ij - E_ji)/sqrt(2) and i(E_ij + E_ji)/sqrt(2), and Cartan elements i diag(q)
+for an orthonormal basis Q of the traceless vectors.  At Lambda an
+off-diagonal element touches only its own pair of levels, so their singular
+values are closed forms in s; only the Cartan block, projected off the state,
+takes an SVD.  Distinguishable tangents come in two groups, xi (x) 1 and
+1 (x) eta, which commute, so the two-form has one block per group.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .moment import reduced_matrix
-from .states import QuantumState, check_tolerance, scaled_array
+from .moment import reduced_matrix, state_svd
+from .states import ParticleCase, QuantumState, check_tolerance, scaled_array
 from .strata import DEFAULT_CLUSTER_TOL, orbit_invariants
 
 DEFAULT_RANK_TOL = 1e-9
@@ -47,50 +49,6 @@ class OracleReport:
     warnings: tuple[str, ...] = ()
 
 
-@lru_cache(maxsize=16)
-def su_basis(n: int) -> np.ndarray:
-    """Real basis of su(N), stacked (N^2-1, N, N): i-diagonals, then (re, im) off-diagonal pairs.
-
-    Built once per N and shared, so the array is read-only.
-    """
-    basis = np.zeros((n * n - 1, n, n), dtype=complex)
-    k = np.arange(n - 1)
-    basis[k, k, k] = 1j
-    basis[k, k + 1, k + 1] = -1j
-    rows, cols = np.triu_indices(n, 1)
-    re = n - 1 + 2 * np.arange(len(rows))
-    basis[re, rows, cols] = 1.0
-    basis[re, cols, rows] = -1.0
-    basis[re + 1, rows, cols] = 1j
-    basis[re + 1, cols, rows] = 1j
-    basis.setflags(write=False)
-    return basis
-
-
-def _acted_vectors(state: QuantumState):
-    """rho(xi_a) C over the su(N) basis, shaped (groups, N^2-1, dim), and C in the same coordinates.
-
-    Bosons and fermions form one group, packed to the upper triangle of
-    Sym(N) or Alt(N); distinguishable particles form two, one per tensor leg.
-    C is exactly (anti)symmetric after validation, so C xi^t = sign (xi C)^t
-    and the congruence action needs only the one product xi C.
-    """
-    c = state.coeffs
-    basis = su_basis(state.n_levels)
-    left = basis @ c
-    sign = state.case.symmetry_sign
-    if sign is None:
-        acted = np.concatenate([left, c @ basis.transpose(0, 2, 1)])
-        return acted.reshape(2, len(basis), -1), c.ravel()
-    # a boolean mask picks the upper triangle in row-major order, like
-    # np.triu_indices, and gathers faster than index arrays do
-    idx = np.arange(state.n_levels)
-    upper = idx - idx[:, None] >= (0 if sign == 1 else 1)
-    weight = np.where(idx == idx[:, None], 1.0, np.sqrt(2.0))[upper]
-    acted = (left[:, upper] + sign * left.transpose(0, 2, 1)[:, upper]) * weight
-    return acted[np.newaxis], c[upper] * weight
-
-
 def _thresholded_rank(svals: np.ndarray, rank_tol: float, scale_floor: float = 0.0):
     """Count singular values above rank_tol * scale; returns (rank, ambiguous).
 
@@ -107,35 +65,59 @@ def _thresholded_rank(svals: np.ndarray, rank_tol: float, scale_floor: float = 0
     return rank, ambiguous
 
 
-def _orbit_rank(acted: np.ndarray, c: np.ndarray, rank_tol: float):
-    """(rank, ambiguous) of all acted vectors together, projected off the state c.
+@lru_cache(maxsize=16)
+def _traceless_basis(n: int) -> np.ndarray:
+    """Orthonormal basis Q of the traceless vectors, (N, N - 1), read-only.
 
-    The groups' tangent spaces overlap, so their rows go into one SVD.
+    Helmert columns: column k - 1 is (1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1)).
     """
-    rows = acted.reshape(-1, acted.shape[-1])
-    tangents = rows - np.outer(rows @ c.conj(), c)
-    # interleaved (re, im) columns: an orthogonal permutation of [re | im]
-    svals = np.linalg.svd(tangents.view(float), compute_uv=False)
-    return _thresholded_rank(svals, rank_tol)
+    k = np.arange(1, n)
+    level = np.arange(n)[:, np.newaxis]
+    q = ((level < k) - k * (level == k)) / np.sqrt(k * (k + 1.0))
+    q.setflags(write=False)
+    return q
 
 
-def _symplectic_rank(acted: np.ndarray, rank_tol: float):
-    """(rank, ambiguous) of the two-form -Im <xi C, eta C> over the algebra basis.
+def _pair_values(v: np.ndarray):
+    """|v_i - v_j| and v_i + v_j over the pairs i < j."""
+    upper = np.less.outer(np.arange(len(v)), np.arange(len(v)))
+    return abs(v[:, np.newaxis] - v)[upper], (v[:, np.newaxis] + v)[upper]
 
-    For anti-Hermitian representations <v, [xi, eta] v> = <xi v, eta v> - conj,
-    so the projective two-form on the orbit is the imaginary part of the Gram
-    matrix of the acted vectors; isotropy and phase directions land in its
-    kernel automatically.  With A = X + iY, -Im(conj(A) A^t) = K^t - K for
-    K = X Y^t, one real product.  Elements of different groups commute, so
-    [xi, eta] = 0 makes their block of the two-form zero; only the per-group
-    blocks are formed, all in one batched SVD.  The scale floor is the
-    largest squared tangent norm over all groups.
+
+def _slice_spectra(case: ParticleCase, s: np.ndarray):
+    """Singular values of the tangent map and of the two-form at the slice point of s.
+
+    ``s`` is the descending root spectrum scaled to unit norm; p = s^2, P =
+    diag(s) - s p^t, pairs i < j.  Bosons: |s_i - s_j| and s_i + s_j, then
+    svd(2 P Q); two-form |p_i - p_j| twice.  Distinguishable: the same pair
+    values over sqrt(2), each twice, then svd(sqrt(2) P Q); two-form
+    |p_i - p_j| / 2 four times.  Fermions, with pair values lam_k =
+    (s_2k + s_2k+1) / 2 and k < l: lam_k + lam_l and |lam_k - lam_l| four
+    times each, lam_k four times at odd N (the zero level), then the svd of
+    the Cartan block sqrt(2) lam_k (q_2k + q_2k+1) projected off c = sqrt(2)
+    lam; two-form |lam_k^2 - lam_l^2| eight times, lam_k^2 four times at odd N.
+    Every other singular value of the dense route is zero.
     """
-    re, im = acted.real, acted.imag
-    k = re @ im.transpose(0, 2, 1)
-    svals = np.linalg.svd(k.transpose(0, 2, 1) - k, compute_uv=False)
-    floor = np.max(np.sum(re * re + im * im, axis=-1))
-    return _thresholded_rank(svals, rank_tol, scale_floor=floor)
+    n = len(s)
+    q = _traceless_basis(n)
+    if case is ParticleCase.FERMION:
+        m = n // 2
+        lam = (s[0:2 * m:2] + s[1:2 * m:2]) / 2
+        gap, total = _pair_values(lam)
+        c = np.sqrt(2.0) * lam
+        cartan = c[:, np.newaxis] * (q[0:2 * m:2] + q[1:2 * m:2])
+        cartan -= np.outer(c, c @ cartan) / (c @ c)
+        zero_level = np.tile(lam, 4 * (n % 2))
+        orbit = [np.repeat(total, 4), np.repeat(gap, 4), zero_level]
+        form = [np.repeat(gap * total, 8), zero_level**2]
+    else:
+        copies, scale = (1, 1.0) if case is ParticleCase.BOSON else (2, np.sqrt(0.5))
+        gap, total = (np.repeat(values * scale, copies) for values in _pair_values(s))
+        cartan = 2 * scale * (s[:, np.newaxis] * q - np.outer(s, (s * s) @ q))
+        orbit = [gap, total]
+        form = [np.repeat(gap * total, 2)]
+    orbit.append(np.linalg.svd(cartan, compute_uv=False))
+    return np.concatenate(orbit), np.concatenate(form)
 
 
 def oracle_check(
@@ -143,15 +125,27 @@ def oracle_check(
     rank_tol: float = DEFAULT_RANK_TOL,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> OracleReport:
-    """Compare numeric orbit dimension and degeneracy with the formula values.
+    """Compare the orbit dimension and degeneracy at the slice point with the formula values.
 
-    Rank ambiguities are reported in ``warnings``.
+    The root spectrum s is read from the state's one SVD, which also gives the
+    moment image the formula side classifies; no canonical form is computed,
+    and the only further SVD is that of the Cartan block.  Both ranks count
+    the spectra of ``_slice_spectra`` above ``rank_tol`` times a
+    basis-invariant scale: for the orbit rank the largest value, floored at
+    |c| = 1; for the two-form rank the largest value, floored at the mean
+    squared tangent norm per generator (the sum of the squared orbit values
+    over G (N^2 - 1), G = 2 tangent groups for distinguishable particles and
+    1 otherwise).  Rank ambiguities are reported in ``warnings``.
     """
     check_tolerance("rank_tol", rank_tol, positive=True, below=1.0)
     inv = orbit_invariants(reduced_matrix(state), cluster_tol)
-    acted, c = _acted_vectors(state)
-    orbit_dim, orbit_ambiguous = _orbit_rank(acted, c, rank_tol)
-    rank, rank_ambiguous = _symplectic_rank(acted, rank_tol)
+    s = state_svd(state)[1]
+    n, case = len(s), state.case
+    orbit, form = _slice_spectra(case, s / np.linalg.norm(s))
+    groups = 2 if case is ParticleCase.DISTINGUISHABLE else 1
+    orbit_dim, orbit_ambiguous = _thresholded_rank(orbit, rank_tol, scale_floor=1.0)
+    floor = np.sum(orbit * orbit) / (groups * (n * n - 1))
+    rank, rank_ambiguous = _thresholded_rank(form, rank_tol, scale_floor=floor)
     flags = {"orbit dimension": orbit_ambiguous, "symplectic rank": rank_ambiguous}
     notes = tuple(_AMBIGUOUS.format(what) for what, ambiguous in flags.items() if ambiguous)
     degeneracy = orbit_dim - rank

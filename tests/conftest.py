@@ -4,7 +4,7 @@ import numpy as np
 import scipy.linalg
 
 from luorbits import LocalUnitary, ParticleCase, apply_group_action
-from luorbits.oracle import su_basis
+from reference_oracle import su_basis
 
 ALL_CASES = list(ParticleCase)
 
@@ -41,7 +41,7 @@ def group_action_derivative(state, xi, t=1e-5):
 def algebra_action(state, xi):
     """Linearized action xi C + C xi^t, or xi1 C + C xi2^t for a pair (xi1, xi2).
 
-    The per-element reference for the oracle's batched acted vectors.
+    The per-element reference for the dense reference oracle's batched acted vectors.
     """
     c = state.coeffs
     if state.case is ParticleCase.DISTINGUISHABLE:
@@ -60,7 +60,7 @@ def pack(matrices, case):
 def algebra_basis(case, n):
     """Basis of the local algebra as a list: su(N), or (xi, 0) and (0, xi) pairs for distinguishable.
 
-    In the row order of the oracle's acted vectors.
+    In the row order of the dense reference oracle's acted vectors.
     """
     single = list(su_basis(n))
     if case is not ParticleCase.DISTINGUISHABLE:

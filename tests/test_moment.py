@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from luorbits import (
     MomentImage,
     ParticleCase,
+    QuantumState,
+    ZeroState,
+    oracle_check,
     apply_group_action,
     fermion_pair_matrix,
     random_local_unitary,
@@ -80,6 +83,17 @@ class TestReducedMatrix:
         np.testing.assert_array_equal(image.q_spectrum, [0.0, 0.0])
         assert image.probabilities.dtype == float and not image.probabilities.flags.writeable
         assert p == [0.5, 0.5]
+
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_zero_state_raises_before_any_division(self, case):
+        # built directly, a zero matrix used to give p = [nan, nan] and numpy's
+        # RuntimeWarning, which the suite's -W error turns into a raw exception
+        state = QuantumState(case, np.zeros((2, 2), complex))
+        for entry in (reduced_matrix, oracle_check):
+            with pytest.raises(ZeroState, match="zero state"):
+                entry(state)
+        assert "moment" not in state._derived
 
 
 class TestSmallProbabilities:

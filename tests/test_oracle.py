@@ -1,9 +1,12 @@
-"""Tests for the numerical orbit/symplectic oracle and the three-qubit demo."""
+"""Tests for the slice-point orbit/symplectic oracle, its dense reference, and the three-qubit demo."""
+
+import time
 
 import numpy as np
 import pytest
 
 from luorbits import (
+    MultiplicityVector,
     ParticleCase,
     ValidationError,
     apply_group_action,
@@ -19,8 +22,10 @@ from luorbits import (
     three_tangle,
     validate,
 )
-from luorbits.oracle import _acted_vectors, su_basis
+from luorbits.moment import state_svd
+from luorbits.oracle import _slice_spectra
 from conftest import ALL_CASES, algebra_action, algebra_basis, ckw_three_tangle, pack
+from reference_oracle import acted_vectors, dense_spectra, su_basis
 
 BOSON = ParticleCase.BOSON
 FERMION = ParticleCase.FERMION
@@ -50,6 +55,13 @@ class TestAlgebraBasis:
         with pytest.raises(ValueError):
             basis[0, 0, 0] = 0.0
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_frobenius_orthonormal(self, n):
+        # Ad_g is orthogonal in these coordinates, so tangent spectra are orbit invariants
+        flat = su_basis(n).reshape(n * n - 1, -1)
+        gram = (flat.conj() @ flat.T).real
+        assert np.max(np.abs(gram - np.eye(n * n - 1))) <= 1e-14
+
 
 def full_acted(s):
     """Acted vectors in full N x N coordinates, one row per basis element, groups concatenated."""
@@ -74,7 +86,7 @@ class TestActedVectors:
                 reference, c = per_element.reshape(2, n * n - 1, n * n), s.coeffs.ravel()
             else:
                 reference, c = pack(per_element, case)[np.newaxis], pack(s.coeffs, case)
-            acted, packed_c = _acted_vectors(s)
+            acted, packed_c = acted_vectors(s)
             assert acted.shape == reference.shape
             assert np.max(np.abs(acted - reference)) <= 1e-14 * np.linalg.norm(s.coeffs)
             assert np.max(np.abs(packed_c - c)) <= 1e-15
@@ -83,7 +95,7 @@ class TestActedVectors:
     def test_gram_and_projection_match_full_coordinates(self, case):
         for s in sample_states(case):
             full = full_acted(s)
-            acted, c = _acted_vectors(s)
+            acted, c = acted_vectors(s)
             scale = np.linalg.norm(s.coeffs) ** 2
             m, full_gram = acted.shape[1], full.conj() @ full.T
             for i, group in enumerate(acted):
@@ -94,7 +106,7 @@ class TestActedVectors:
 
     def test_cross_block_of_the_two_form_vanishes(self):
         for s in sample_states(DIST):
-            (left, right), _ = _acted_vectors(s)
+            (left, right), _ = acted_vectors(s)
             cross = left.conj() @ right.T
             assert np.max(np.abs(cross.imag)) <= 1e-14 * np.linalg.norm(s.coeffs) ** 2
 
@@ -102,9 +114,11 @@ class TestActedVectors:
 def reference_ranks(s, rank_tol=1e-9):
     """Full-coordinate ranks with one symplectic Gram over all generators.
 
+    The floors are the oracle's: |c| for the orbit rank, the mean squared
+    projected tangent norm per generator for the two-form.
     Returns (orbit rank, symplectic rank, orbit ambiguous, symplectic ambiguous).
     """
-    def thresholded(svals, scale_floor=0.0):
+    def thresholded(svals, scale_floor):
         smax = max(svals[0], scale_floor)
         if smax == 0.0:
             return 0, False
@@ -114,9 +128,11 @@ def reference_ranks(s, rank_tol=1e-9):
 
     acted, c = full_acted(s), s.coeffs.ravel()
     tangents = acted - np.outer(acted @ c.conj(), c)
-    orbit = thresholded(np.linalg.svd(np.hstack([tangents.real, tangents.imag]), compute_uv=False))
+    orbit = thresholded(np.linalg.svd(np.hstack([tangents.real, tangents.imag]), compute_uv=False),
+                        np.linalg.norm(c))
     gram = acted.conj() @ acted.T
-    rank = thresholded(np.linalg.svd(-gram.imag, compute_uv=False), gram.real.diagonal().max())
+    floor = np.linalg.norm(tangents) ** 2 / len(tangents)
+    rank = thresholded(np.linalg.svd(-gram.imag, compute_uv=False), floor)
     return orbit[0], rank[0], orbit[1], rank[1]
 
 
@@ -144,9 +160,9 @@ class TestAgainstFullCoordinateReference:
             assert report.warnings == notes
 
     @pytest.mark.parametrize("case", ALL_CASES)
-    def test_three_svds_with_one_batched_symplectic_call(self, case, monkeypatch):
-        # the state's one full SVD of C for the moment spectrum, one values-only
-        # SVD for the orbit rank, one for all Gram blocks together
+    def test_state_svd_and_one_cartan_svd(self, case, monkeypatch):
+        # the state's one full SVD of C for the moment spectrum, then one
+        # values-only SVD of the Cartan block; no SVD over the N^2 - 1 generators
         n = 4
         s = random_state(case, n, 5)
         calls = []
@@ -158,10 +174,67 @@ class TestAgainstFullCoordinateReference:
 
         monkeypatch.setattr(np.linalg, "svd", recorded_svd)
         oracle_check(s)
-        assert len(calls) == 3
-        assert calls[0] == ((n, n), True)
-        groups = 2 if case is DIST else 1
-        assert calls[-1][0] == (groups, n * n - 1, n * n - 1)
+        cartan_rows = n // 2 if case is FERMION else n
+        assert calls == [((n, n), True), ((cartan_rows, n - 1), False)]
+
+
+def rotated_states(case, n, seed):
+    """A random state and a rotated rank-deficient one at N (fermions: one pair value, then zeros)."""
+    if case is FERMION:
+        c = fermion_pair_matrix([1.0] + [0.0] * (n // 2 - 1), n)
+    else:
+        c = np.diag(np.r_[0.8, 0.6, np.zeros(n - 2)])
+    rank_deficient = apply_group_action(validate(c, case), random_local_unitary(case, n, seed))
+    return [random_state(case, n, seed), rank_deficient]
+
+
+class TestSliceSpectra:
+    @pytest.mark.parametrize("case", ALL_CASES)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_closed_forms_equal_the_dense_reference(self, case, n):
+        # sorted slice spectra equal the dense singular values at the rotated
+        # state; every further dense value is zero
+        for s in rotated_states(case, n, 100 + n):
+            root = state_svd(s)[1]
+            root = root / np.linalg.norm(root)
+            bar = 1e-12 * root[0]
+            for closed, dense in zip(_slice_spectra(case, root), dense_spectra(s)):
+                closed = np.sort(closed)[::-1]
+                assert len(closed) <= len(dense)
+                assert np.max(np.abs(dense[:len(closed)] - closed), initial=0.0) <= bar
+                assert np.max(dense[len(closed):], initial=0.0) <= bar
+
+    @pytest.mark.parametrize("case, n", [(BOSON, 8), (DIST, 4)])
+    def test_one_answer_over_thirty_rotations(self, case, n):
+        # s = linspace(1, 0.3, N) with s_1 = s_0 - 1e-9: the dense oracle over
+        # the old basis gave (62, 8) / (62, 6) and (25, 1) / (25, 3) / (25, 5)
+        root = np.linspace(1.0, 0.3, n)
+        root[1] = root[0] - 1e-9
+        base = validate(np.diag(root), case)
+        answers = set()
+        for seed in range(30):
+            report = oracle_check(apply_group_action(base, random_local_unitary(case, n, seed)))
+            answers.add((report.orbit_dim_numeric, report.degeneracy_numeric, report.warnings))
+        assert len(answers) == 1, answers
+
+
+class TestLargeN:
+    def test_planted_strata_up_to_128(self):
+        # generic, fully degenerate and mixed-with-zero-tail patterns, rotated
+        start = time.perf_counter()
+        for case in ALL_CASES:
+            unit = 2 if case is FERMION else 1
+            for n in (32, 64, 128) + ((33,) if case is FERMION else ()):
+                tail = n % unit
+                patterns = [
+                    MultiplicityVector((unit,) * (n // unit) + ((tail,) if tail else ()), bool(tail)),
+                    MultiplicityVector((n - tail,) + ((tail,) if tail else ()), bool(tail)),
+                    MultiplicityVector((unit, 3 * unit, n // 2 - 4 * unit, n - n // 2), True),
+                ]
+                for seed, mv in enumerate(patterns):
+                    report = oracle_check(representative_state(mv, case, seed=seed))
+                    assert report.agree and report.warnings == (), (case, n, mv, report)
+        assert time.perf_counter() - start < 10.0
 
 
 class TestFormulaSide:
