@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NonSquareInput, ValidationError
+from .errors import ConvergenceFailure, ValidationError
 from .moment import state_svd
-from .states import (ParticleCase, QuantumState, check_case, check_integer, complex_array, into_special_unitary,
-                     scaled_array, symmetrized)
+from .states import (DEFAULT_SYMMETRY_TOL, ParticleCase, QuantumState, _intake, check_case, check_integer,
+                     complex_array, into_special_unitary)
 
 # Numeric cluster threshold of the congruence forms, relative to s0 (not the
 # stratum tolerance).  The SVD couples two clusters a gap apart at 40-60x, not
@@ -24,7 +24,6 @@ from .states import (ParticleCase, QuantumState, check_case, check_integer, comp
 # 1e-4 * s0; gaps up to 1e-3 * s0 form one cluster, whose root is exact inside.
 CLUSTER_TOL = 1e-3
 SNAP_TOL = 1e-12
-SYMMETRY_PRE_TOL = 1e-10
 _LABELS = {1: "takagi", -1: "youla", None: "svd"}
 
 
@@ -156,15 +155,6 @@ def _congruence_basis(v, s, wh, sign: int, n_live: int) -> np.ndarray:
     return u
 
 
-def _congruence_form(c, sign: int | None):
-    """The intake of a raw array (``scaled_array``, ``symmetrized``), then ``_factored``."""
-    label = _LABELS[sign]
-    c, e = scaled_array(c, label)
-    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
-        raise NonSquareInput(f"{label}: expected a nonempty square matrix, got shape {c.shape}")
-    return _factored(symmetrized(c, sign, SYMMETRY_PRE_TOL), e, sign)
-
-
 def _factored(c, e: int, sign: int | None, svd=None):
     """Factor c 2^e = U core W^t from one SVD of c (``svd``, left unchanged, or taken here).
 
@@ -207,7 +197,7 @@ def takagi(c):
     Returns (U, lam) with U unitary and lam the singular values of c in
     descending order.
     """
-    return _congruence_form(c, 1)[:2]
+    return _factored(*_intake(c, 1, DEFAULT_SYMMETRY_TOL, _LABELS[1]), 1)[:2]
 
 
 def youla_antisymmetric(c):
@@ -216,13 +206,13 @@ def youla_antisymmetric(c):
     Returns (U, lam) with lam of length floor(N/2) sorted descending; each
     lam_j is a doubled singular value of c (Youla 1961).
     """
-    u, s, _ = _congruence_form(c, -1)
+    u, s, _ = _factored(*_intake(c, -1, DEFAULT_SYMMETRY_TOL, _LABELS[-1]), -1)
     return u, s[: 2 * (len(s) // 2) : 2]
 
 
 def svd_congruence(c):
     """Two-sided diagonalization c = U diag(lam) V^t with lam descending."""
-    return _congruence_form(c, None)
+    return _factored(*_intake(c, None, DEFAULT_SYMMETRY_TOL, _LABELS[None]), None)
 
 
 def fermion_pair_matrix(lam, n: int) -> np.ndarray:

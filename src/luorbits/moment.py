@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, UnsortedInput, ZeroState
+from .errors import ConvergenceFailure, UnsortedInput
 from .states import ParticleCase, QuantumState, _freeze
 
 
@@ -50,18 +50,13 @@ def reduced_matrix(state: QuantumState) -> MomentImage:
 
 
 def state_svd(state: QuantumState):
-    """The state's one SVD (V, s, W^dag), read-only; taken on first need and stored with its image p.
-
-    A state whose largest singular value is not positive has no image: ``ZeroState``.
-    """
+    """The state's one SVD (V, s, W^dag), read-only; taken on first need and stored with its image p."""
     derived = state._derived
     if "svd" not in derived:
         try:
             v, s, wh = map(_freeze, np.linalg.svd(state.coeffs))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"svd: {exc}") from exc
-        if not s[0] > 0.0:
-            raise ZeroState("zero state: its SVD has no positive singular value")
         derived["moment"] = MomentImage(state.case, state.n_levels, s**2 / np.sum(s**2))
         derived["svd"] = v, s, wh
     return derived["svd"]

@@ -186,8 +186,8 @@ def three_tangle(tensor) -> float:
     return float(4.0 * abs(det) / norm2**2)
 
 
-def single_site_spectra(tensor) -> np.ndarray:
-    """Sorted spectra of the three one-qubit reduced matrices, one row per site."""
+def _single_site_spectra(tensor) -> np.ndarray:
+    """Sorted spectra of the three one-qubit reduced matrices, one row per site (the demo's own tensors)."""
     t = np.asarray(tensor, dtype=complex)
     sites = np.stack([np.moveaxis(t, site, 0).reshape(2, 4) for site in range(3)])
     return np.linalg.svd(sites, compute_uv=False) ** 2
@@ -204,8 +204,8 @@ def counterexample_demo() -> dict:
     x1[1, 1, 1] = np.sqrt(1.0 / 3.0)
     x2 = np.zeros((2, 2, 2), dtype=complex)
     x2[1, 0, 0] = x2[0, 1, 0] = x2[0, 0, 1] = 1.0 / np.sqrt(3.0)
-    spectra1 = single_site_spectra(x1)
-    spectra2 = single_site_spectra(x2)
+    spectra1 = _single_site_spectra(x1)
+    spectra2 = _single_site_spectra(x2)
     spectral_diff = float(np.max(np.abs(spectra1 - spectra2)))
     tangle1 = three_tangle(x1)
     tangle2 = three_tangle(x2)

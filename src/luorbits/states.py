@@ -26,6 +26,7 @@ from .errors import (
 )
 
 DEFAULT_SYMMETRY_TOL = 1e-9
+NORM_TOL = 4 * DEFAULT_SYMMETRY_TOL
 
 
 class ParticleCase(enum.Enum):
@@ -54,11 +55,13 @@ class ParticleCase(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Validated state: unit Frobenius norm, exact symmetry class.
+    """A unit vector of Sym^2, Lambda^2 or C^N (x) C^N, checked when built; ``validate`` makes one.
 
-    ``coeffs`` is read-only on every state the package makes, so the state
-    never changes.  Forms derived from it alone (the canonical form, the
-    moment image) are computed on first request and stored on the instance.
+    ``coeffs`` is a read-only complex N x N array that owns its data (else it is copied, so the caller's
+    array can change and the state does not), N >= 2, exactly symmetric (boson) or antisymmetric (fermion),
+    with | ||C||^2 - 1 | <= NORM_TOL = 4d: a LocalUnitary is accepted up to ||U^dag U - I|| <= d =
+    DEFAULT_SYMMETRY_TOL, so one action moves ||C||^2 by at most (1 + d)^2 - 1 = 2d + d^2, and the other
+    2d cover rounding.  Forms derived from the state alone are computed on first request and stored.
     """
 
     case: ParticleCase
@@ -70,6 +73,19 @@ class QuantumState:
         c = self.coeffs
         if not (isinstance(c, np.ndarray) and c.ndim == 2 and c.shape[0] == c.shape[1] > 0):
             raise NonSquareInput(f"coeffs: expected a nonempty square numpy array, got {type(c).__name__}")
+        if c.flags.writeable or not c.flags.owndata or c.dtype != complex:  # a copy that no caller holds
+            c = _freeze(complex_array(c, "coeffs"))
+            object.__setattr__(self, "coeffs", c)
+        if len(c) < 2:
+            raise ValidationError("one-particle dimension must be at least 2")
+        sign = self.case.symmetry_sign
+        if sign is not None and not np.array_equal(c, sign * c.T):
+            raise SymmetryViolation(f"coeffs are not exactly {'anti' if sign < 0 else ''}symmetric")
+        deviation = np.vdot(c, c).real - 1.0
+        if deviation == -1.0:
+            raise ZeroState("zero state: the coefficient matrix is zero")
+        if not abs(deviation) <= NORM_TOL:
+            raise ValidationError(f"coeffs: ||C||^2 - 1 = {deviation:.3e} exceeds NORM_TOL = {NORM_TOL:.0e}")
 
     @property
     def n_levels(self) -> int:
@@ -154,31 +170,33 @@ def scaled_array(raw, label: str):
     return a, e
 
 
-def symmetrized(a: np.ndarray, sign: int | None, tol: float) -> np.ndarray:
-    """(a + sign a^t) / 2, or a for sign None; SymmetryViolation if ||a - sign a^t|| > tol ||a||."""
+def _intake(raw, sign: int | None, tol: float, label: str):
+    """(a, e), the one intake of ``validate``, ``takagi``, ``youla_antisymmetric`` and ``svd_congruence``:
+
+    ``scaled_array(raw)``, checked nonempty and square, then (a + sign a^t) / 2 (a for sign None),
+    or SymmetryViolation if ||a - sign a^t|| > tol ||a||."""
+    a, e = scaled_array(raw, label)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise NonSquareInput(f"{label}: expected a nonempty square matrix, got shape {a.shape}")
     if sign is None:
-        return a
+        return a, e
     defect, norm = np.linalg.norm(a - sign * a.T), np.linalg.norm(a)
     if defect > tol * norm:
         kind = "symmetry" if sign == 1 else "antisymmetry"
         raise SymmetryViolation(f"{kind} defect {defect / norm:.3e} exceeds tolerance {tol:.3e}")
-    return (a + sign * a.T) / 2.0
+    return (a + sign * a.T) / 2.0, e
 
 
 def validate(raw, case: ParticleCase, tol: float = DEFAULT_SYMMETRY_TOL) -> QuantumState:
-    """Check, (anti)symmetrize and normalize a raw coefficient matrix.
+    """The door to ``QuantumState``: check, (anti)symmetrize and normalize a raw coefficient matrix.
 
-    Symmetry defects up to ``tol`` (relative to the Frobenius norm) are
-    repaired silently; larger defects raise SymmetryViolation.
+    Symmetry defects up to ``tol`` (relative to the Frobenius norm) are repaired
+    silently; larger defects raise SymmetryViolation.  Any finite nonzero N x N
+    matrix, N >= 2, within ``tol`` of the case's symmetry yields a state.
     """
     check_case(case)
     check_tolerance("tol", tol)
-    arr, _ = scaled_array(raw, "matrix")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NonSquareInput(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise ValidationError("one-particle dimension must be at least 2")
-    arr = symmetrized(arr, case.symmetry_sign, tol)
+    arr, _ = _intake(raw, case.symmetry_sign, tol, "matrix")
     norm = np.linalg.norm(arr)
     if norm == 0.0:
         raise ZeroState("coefficient matrix is zero")
@@ -212,10 +230,7 @@ def random_state(case: ParticleCase, n: int, seed: int) -> QuantumState:
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     arr = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    sign = case.symmetry_sign
-    if sign is not None:
-        arr = (arr + sign * arr.T) / 2.0
-    return validate(arr, case, tol=1.0)
+    return validate(arr, case, tol=2.0)  # ||a - sign a^t|| <= 2 ||a||: the intake projects any matrix
 
 
 def haar_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

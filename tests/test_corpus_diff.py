@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from luorbits import ParticleCase, canonicalize, random_state
+from luorbits import ParticleCase, canonicalize, fermion_pair_matrix, random_state
 
 _spec = importlib.util.spec_from_file_location(
     "corpus_diff", Path(__file__).resolve().parents[1] / "tools" / "corpus_diff.py")
@@ -29,6 +29,7 @@ def run_diff(tmp_path, old, new):
 BASE = {
     "cf.lambdas": np.array([0.8, 0.6]),
     "cf.residual": np.asarray(1e-16),
+    "raw.lambdas": np.array([0.8, 0.6]),
     "inv.d.d": (1, 1),
     "eq.equivalent": True,
     "report.orbit_dim_numeric": 7,
@@ -47,6 +48,9 @@ class TestCorpusDiff:
         ("cf.lambdas", np.array([0.8, 0.6 + 1e-13]), False),
         ("cf.lambdas", np.array([0.8, 0.6 + 1e-11]), True),
         ("cf.residual", np.asarray(3e-16), False),
+        ("raw.lambdas", np.array([0.8, 0.6 + 1e-13]), False),
+        ("raw.lambdas", np.array([0.8, 0.6 + 1e-11]), True),
+        ("raw.exception", "SymmetryViolation", True),  # a leaf the old dump lacks
         ("inv.d.d", (2,), True),
         ("eq.equivalent", False, True),
         ("report.orbit_dim_numeric", 8, True),
@@ -77,3 +81,18 @@ class TestCorpusDiff:
         assert sorted(leaves) == ["cf.case", "cf.global_phase", "cf.lambdas", "cf.n_levels",
                                   "cf.residual", "cf.witness_u", "cf.witness_v"]
         assert leaves["cf.residual"].dtype == float and leaves["cf.witness_v"] is None
+
+    @pytest.mark.parametrize("case, raw, keys", [
+        ("boson", np.diag([2.0, 1.0]), ["raw.lambdas", "raw.u"]),
+        ("fermion", fermion_pair_matrix([2.0], 3), ["raw.lambdas", "raw.u"]),
+        ("dist", np.diag([2.0, 1.0]), ["raw.lambdas", "raw.u", "raw.v"]),
+        ("boson", np.array([[0.0, 1.0], [-1.0, 0.0]]), ["raw.exception", "raw.exception.message"]),
+    ])
+    def test_raw_leaves_of_each_case(self, case, raw, keys):
+        # decide jobs' raw matrices reach takagi / youla_antisymmetric / svd_congruence by case
+        leaves = corpus_diff.raw_leaves(case, raw)
+        assert sorted(leaves) == keys
+        if "raw.lambdas" in leaves:
+            np.testing.assert_allclose(leaves["raw.lambdas"][:1], [2.0], rtol=0, atol=1e-15)
+        else:
+            assert leaves["raw.exception"] == "SymmetryViolation"

@@ -31,6 +31,7 @@ from luorbits import (
     orbit_invariants,
     random_local_unitary,
     random_state,
+    reduced_matrix,
     representative_state,
     state_from_dict,
     state_to_dict,
@@ -40,7 +41,7 @@ from luorbits import (
     validate,
     youla_antisymmetric,
 )
-from luorbits.states import complex_matrix_from_json
+from luorbits.states import NORM_TOL, complex_matrix_from_json
 from conftest import (
     ALL_CASES,
     algebra_action,
@@ -163,6 +164,122 @@ class TestValidate:
         np.testing.assert_allclose(s.coeffs, np.diag([0.8, 0.6]), rtol=0, atol=1e-15)
 
 
+class TestStateContract:
+    """Every QuantumState holds what validate promises, however it was built."""
+
+    @staticmethod
+    def frozen(c):
+        c = np.array(c, dtype=complex)
+        c.setflags(write=False)
+        return c
+
+    @pytest.mark.parametrize("case, coeffs, error", [
+        # the non-symmetric boson used to fail only at the takagi residual bar (1.079e+00)
+        (ParticleCase.BOSON, np.array([[1, 2], [3, 4]], complex), SymmetryViolation),
+        (ParticleCase.FERMION, np.eye(2) / np.sqrt(2.0), SymmetryViolation),
+        # off unit norm used to be rescaled silently by the spectrum
+        (ParticleCase.BOSON, np.eye(2), ValidationError),
+        (ParticleCase.DISTINGUISHABLE, 2.0 * np.eye(2), ValidationError),
+        (ParticleCase.BOSON, np.array([[1.0 + 0j]]), ValidationError),
+        (ParticleCase.BOSON, np.array([[np.nan, 0], [0, 1]]), ValidationError),
+        (ParticleCase.DISTINGUISHABLE, frozen(np.array([[np.nan, 0], [0, 1]])), ValidationError),
+        (ParticleCase.DISTINGUISHABLE, frozen(np.array([[np.inf, 0], [0, 0]])), ValidationError),
+        (ParticleCase.BOSON, np.array([["a", "b"], ["c", "d"]]), NonSquareInput),
+    ], ids=["non-symmetric-boson", "symmetric-fermion", "norm-2", "norm-4-dist", "1x1", "nan", "frozen-nan",
+            "frozen-inf", "strings"])
+    def test_invalid_coefficients_raise_when_built(self, case, coeffs, error):
+        with pytest.raises(error):
+            QuantumState(case, coeffs)
+
+    def test_caller_mutation_after_build(self):
+        # a writable diag(1, 0) mutated after reduced_matrix kept the stale p = [1, 0],
+        # and canonicalize then raised ConvergenceFailure (residual 7.7e-1)
+        c = np.diag([1.0, 0.0]).astype(complex)
+        state = QuantumState(ParticleCase.BOSON, c)
+        np.testing.assert_array_equal(reduced_matrix(state).probabilities, [1.0, 0.0])
+        c[:] = [[0.0, 0.6], [0.6, 0.0]]
+        np.testing.assert_array_equal(state.coeffs, np.diag([1.0, 0.0]))
+        np.testing.assert_array_equal(reduced_matrix(state).probabilities, [1.0, 0.0])
+        np.testing.assert_allclose(canonicalize(state).lambdas, [1.0, 0.0], rtol=0, atol=1e-15)
+
+    def test_read_only_view_is_copied(self):
+        base = np.eye(2, dtype=complex) / np.sqrt(2.0)
+        view = base[:]
+        view.setflags(write=False)
+        state = QuantumState(ParticleCase.BOSON, view)
+        base[0, 0] = 5.0
+        assert state.coeffs[0, 0] == 1 / np.sqrt(2.0) and not state.coeffs.flags.writeable
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_a_state_own_array_is_not_copied_again(self, case):
+        s = random_state(case, 4, 0)
+        assert QuantumState(case, s.coeffs).coeffs is s.coeffs
+
+    @pytest.mark.parametrize("case", [ParticleCase.BOSON, ParticleCase.DISTINGUISHABLE])
+    def test_norm_bar_holds_one_action_at_the_unitarity_limit(self, case):
+        # U = diag(1 + a, 1) with ||U^dag U - I|| = (1 + a)^2 - 1 = 0.9998e-9, just inside what
+        # LocalUnitary accepts, moves ||C||^2 of diag(1, 0) by (1 + a)^4 - 1 = 1.9996e-9
+        a = np.sqrt(1.0 + 0.9998e-9) - 1.0
+        u = np.diag([1.0 + a, 1.0])
+        g = LocalUnitary(case, u, u if case is ParticleCase.DISTINGUISHABLE else None)
+        moved = apply_group_action(validate(np.diag([1.0, 0.0]), case), g)
+        deviation = np.vdot(moved.coeffs, moved.coeffs).real - 1.0
+        assert abs(deviation - 1.9996e-9) <= 1e-15
+        assert NORM_TOL - deviation >= 1.9e-9  # the bar leaves about d = 1e-9 of margin beyond 2d
+
+    @pytest.mark.parametrize("case", [ParticleCase.BOSON, ParticleCase.DISTINGUISHABLE])
+    @pytest.mark.parametrize("deviation, ok", [(3.9e-9, True), (-3.9e-9, True), (4.1e-9, False), (-4.1e-9, False)])
+    def test_norm_bar_edges(self, case, deviation, ok):
+        c = np.diag([np.sqrt(1.0 + deviation), 0.0])
+        if ok:
+            assert QuantumState(case, c).n_levels == 2
+        else:
+            with pytest.raises(ValidationError, match="C\\|\\|\\^2 - 1"):
+                QuantumState(case, c)
+
+
+class TestOneSymmetryBar:
+    """validate and the congruence forms share one intake, so one symmetry tolerance."""
+
+    ENTRIES = {
+        "validate-boson": (1, lambda a: validate(a, ParticleCase.BOSON)),
+        "validate-fermion": (-1, lambda a: validate(a, ParticleCase.FERMION)),
+        "takagi": (1, takagi),
+        "youla_antisymmetric": (-1, youla_antisymmetric),
+    }
+
+    @staticmethod
+    def with_defect(sign, relative, seed=0):
+        # rank one (two for sign -1) plus a part of the other symmetry, scaled so that
+        # ||a - sign a^t|| / ||a|| = relative; the two parts are Frobenius-orthogonal
+        rng = np.random.default_rng(seed)
+        x, y, z, w = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        base = np.outer(x, x) if sign > 0 else np.outer(x, y) - np.outer(y, x)
+        other = np.outer(z, w) - sign * np.outer(w, z)
+        other *= relative * np.linalg.norm(base) / np.sqrt(4.0 - relative**2) / np.linalg.norm(other)
+        a = base + other
+        measured = np.linalg.norm(a - sign * a.T) / np.linalg.norm(a)
+        assert abs(measured / relative - 1.0) <= 1e-6
+        return a
+
+    @pytest.mark.parametrize("name", list(ENTRIES))
+    def test_defect_repaired_below_the_bar_and_refused_above(self, name):
+        # at a 1e-9 bar for validate and a 1e-10 bar for the factorizations, takagi and youla
+        # used to refuse the 5e-10 defect that validate repaired
+        sign, entry = self.ENTRIES[name]
+        entry(self.with_defect(sign, 5e-10))
+        with pytest.raises(SymmetryViolation):
+            entry(self.with_defect(sign, 2e-9))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_repair_gives_the_values_of_validate(self, sign):
+        a = self.with_defect(sign, 5e-10)
+        u, lam = (takagi if sign > 0 else youla_antisymmetric)(a)
+        state = validate(a, ParticleCase.BOSON if sign > 0 else ParticleCase.FERMION)
+        repaired = (a + sign * a.T) / 2.0
+        np.testing.assert_allclose(lam / np.linalg.norm(repaired), canonicalize(state).lambdas, rtol=0, atol=1e-12)
+
+
 class TestGroupAction:
     def test_boson_congruence_stays_symmetric(self):
         s = validate(np.eye(2), ParticleCase.BOSON)
@@ -198,7 +315,8 @@ class TestGroupAction:
     def test_n_levels_read_from_the_coefficients(self, case):
         # N used to be a second field: QuantumState(BOSON, 3, 2 x 2) was built, and acting on it
         # with a 3 x 3 unitary raised numpy's raw matmul error
-        s = QuantumState(case, np.ones((2, 2)))
+        c = np.array([[0.0, 1.0], [-1.0, 0.0]]) if case is ParticleCase.FERMION else np.eye(2)
+        s = QuantumState(case, c / np.sqrt(2.0))
         assert s.n_levels == 2
         with pytest.raises(DimensionMismatch):
             apply_group_action(s, random_local_unitary(case, 3, 0))
@@ -444,7 +562,7 @@ class TestPublicSurface:
     @pytest.mark.parametrize("name", [
         "apply_algebra_action", "NotAntiHermitian", "same_stratum", "polytope_membership", "canonical_matrix",
         "canonical_to_dict", "moment_to_dict", "verdict_to_dict", "stratum_to_dict", "oracle_to_dict",
-        "check_levels", "multiplicity_vector",
+        "check_levels", "multiplicity_vector", "single_site_spectra",
     ])
     def test_removed_name_stays_removed(self, name):
         assert name not in luorbits.__all__
@@ -464,11 +582,12 @@ class TestPublicSurface:
         "MultiplicityVector": lambda x: MultiplicityVector(x, False),
         "LocalUnitary": lambda x: LocalUnitary(ParticleCase.BOSON, x),
         "state_from_dict": lambda x: state_from_dict({"case": "boson", "n": 2, "matrix": x}),
+        "QuantumState": lambda x: QuantumState(ParticleCase.BOSON, x),
     }
     # exported names the probes do not reach: they take states, forms, cases, integers or labels
     OTHER_ENTRIES = {
         "CanonicalForm", "EquivalenceVerdict", "FiberFactor", "OracleReport", "OrbitInvariants",
-        "ParticleCase", "QuantumState", "apply_group_action", "canonicalize", "counterexample_demo",
+        "ParticleCase", "apply_group_action", "canonicalize", "counterexample_demo",
         "enumerate_strata", "fiber_structure", "flag_dimension", "lu_equivalent", "oracle_check",
         "orbit_invariants", "random_local_unitary", "random_state", "reconstruct", "reduced_matrix",
         "representative_state", "state_to_dict",

@@ -13,9 +13,12 @@ repeats.  This is round 0 of ``perfbench/run.py --seed 1..3``.
 Every output is dumped with exact float bits: lambdas, witnesses, global phase,
 residual, p, q, the orbit invariants, both equivalence verdicts with their
 warnings, every oracle report field, the strata listings, the CLI's exit code,
-stdout and stderr, the checks' verdict and any exception.  The report counts
+stdout and stderr, the checks' verdict and any exception.  Each desk-small and
+large-n job's raw matrix also goes through the raw-array factorization of its
+case (``takagi``, ``youla_antisymmetric`` or ``svd_congruence``), whose
+factors, values or exception are dumped as ``raw.*``.  The report counts
 the differences per field with the largest float difference.  The exit code
-is 1 when a lambda moves by more than 1e-12, or when a d vector, an
+is 1 when a lambda (``cf`` or ``raw``) moves by more than 1e-12, or when a d vector, an
 equivalence verdict, an integer or flag of an oracle report, an exception, a
 CLI exit code or the checks' verdict differs; 0 otherwise.
 """
@@ -43,6 +46,7 @@ WORKLOADS = ("desk-small", "large-n", "oracle-sweep", "cli-cold")
 LAMBDA_TOL = 1e-12
 # fields whose every difference fails the diff (a suffix of the field name)
 EXACT = (".d.d", ".d.degenerate", ".equivalent", "exception", "exit_code", "checks_ok")
+RAW_ENTRIES = {"boson": "takagi", "fermion": "youla_antisymmetric", "dist": "svd_congruence"}
 PROPERTIES = {"CanonicalForm": ("n_levels", "residual"), "MomentImage": ("q_spectrum",),
               "QuantumState": ("n_levels",)}
 
@@ -96,6 +100,20 @@ def leaves_of(name: str, job, out) -> dict:
     return leaves
 
 
+def raw_leaves(case: str, raw) -> dict:
+    """Leaves of the raw-array factorization of ``case`` on ``raw``: U, the values and V, or the exception."""
+    import luorbits
+
+    try:
+        parts = getattr(luorbits, RAW_ENTRIES[case])(raw)
+    except Exception as exc:  # recorded and diffed, like any output
+        return {"raw.exception": type(exc).__name__, "raw.exception.message": str(exc)}
+    leaves = {}
+    for label, part in zip(("u", "lambdas", "v"), parts):
+        flatten(part, f"raw.{label}", leaves)
+    return leaves
+
+
 def dump(root: str, path: str) -> None:
     sys.path[:0] = [os.path.join(root, "src"), PERFBENCH]
     import jobs
@@ -122,6 +140,8 @@ def dump(root: str, path: str) -> None:
                             leaves.update(checks_ok=not failures, checks=tuple(failures))
                         except Exception as exc:  # recorded and diffed, like any output
                             leaves = {"exception": type(exc).__name__, "exception.message": str(exc)}
+                        if name in ("desk-small", "large-n"):
+                            leaves.update(raw_leaves(job.case, inp.raw_a))
                         pickle.dump((f"{name} seed {seed} job {j} repeat {r}", leaves), handle)
 
 
@@ -152,7 +172,7 @@ def difference(a, b):
 
 
 def fails(field: str, old, new, gap) -> bool:
-    if field == "cf.lambdas":
+    if field in ("cf.lambdas", "raw.lambdas"):
         return gap is None or gap > LAMBDA_TOL
     if field.startswith("report."):
         return any(isinstance(x, (bool, int)) for x in (old, new))
