@@ -49,7 +49,13 @@ def _jsonable(value):
     if isinstance(value, dict):
         return {key: _jsonable(item) for key, item in value.items()}
     if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
+        wide = {"f": float, "c": complex}.get(value.dtype.kind)
+        if wide is None or value.dtype.itemsize > np.dtype(wide).itemsize:
+            return _jsonable(value.tolist())
+        # one pass: the float64 parts in C order, each rounded, then the shape (+ [re, im]) put back
+        parts = np.ascontiguousarray(value, wide).reshape(-1).view(float).tolist()
+        pair = (2,) if wide is complex else ()
+        return np.array([float(f"{x:.15g}") for x in parts]).reshape(value.shape + pair).tolist()
     if dataclasses.is_dataclass(value):
         return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     return value
@@ -67,7 +73,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _emit_json(payload, out_path: str | None) -> None:
-    _emit(json.dumps(_jsonable(payload), indent=2), out_path)
+    _emit(json.dumps(_jsonable(payload)), out_path)
 
 
 def _stratum(inv) -> dict:
@@ -196,7 +202,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_random(args) -> int:
     case = ParticleCase.from_label(args.case)
     state = random_state(case, args.n, args.seed)
-    _emit(json.dumps(state_to_dict(state), indent=2), args.out)
+    _emit(json.dumps(state_to_dict(state)), args.out)
     return EXIT_OK
 
 

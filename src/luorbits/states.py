@@ -264,7 +264,9 @@ def random_local_unitary(case: ParticleCase, n: int, seed: int) -> LocalUnitary:
 
 
 def complex_matrix_to_json(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, complex)]
+    """Rows of [re, im] pairs at full precision, so that a state file round-trips bit for bit."""
+    a = np.ascontiguousarray(mat, complex)
+    return a.view(float).reshape(a.shape + (2,)).tolist()
 
 
 def complex_matrix_from_json(rows, n: int) -> np.ndarray:
@@ -273,8 +275,9 @@ def complex_matrix_from_json(rows, n: int) -> np.ndarray:
         parts = np.array(rows, dtype=object)
     except ValueError:  # numpy arrays of unequal shapes nested in the rows; JSON cannot hold them
         parts = np.empty(0, dtype=object)
-    all_numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts.flat)
-    if parts.shape != (n, n, 2) or not all_numbers:
+    types = set(map(type, parts.flat))  # checked once per distinct type; numpy.float64 is a float subclass
+    numbers_only = all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in types)
+    if parts.shape != (n, n, 2) or not numbers_only:
         raise ParseError(f"matrix must be {n} x {n} [re, im] pairs of numbers")
     try:
         return complex_array(parts.astype(float).view(complex)[..., 0], "matrix")

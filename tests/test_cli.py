@@ -239,6 +239,17 @@ class TestRandomCommand:
         assert state.n_levels == 4
         assert abs(np.linalg.norm(state.coeffs) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("case", list(luorbits.ParticleCase))
+    def test_state_file_round_trips_bit_for_bit(self, case, capsys):
+        code, out, _ = run_cli(capsys, "random", "--case", case.value, "--n", "9", "--seed", "4")
+        assert code == 0 and out.count("\n") == 1  # one compact line
+        data = json.loads(out)
+        original = luorbits.random_state(case, 9, 4)
+        assert luorbits.states.complex_matrix_from_json(data["matrix"], 9).tobytes() == original.coeffs.tobytes()
+        # loading validates, and its renormalization may move a last bit: the same as validating the original
+        loaded = luorbits.state_from_dict(data).coeffs
+        assert loaded.tobytes() == luorbits.validate(original.coeffs, case).coeffs.tobytes()
+
     def test_negative_seed_exits_3(self, capsys):
         code, out, err = run_cli(capsys, "random", "--case", "boson", "--n", "3", "--seed", "-1")
         assert code == 3
@@ -364,3 +375,78 @@ def test_cli_import_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                             timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("case", ["boson", "fermion", "dist"])
+def test_json_is_one_compact_line(case, tmp_path, capsys):
+    """classify, compare and oracle --json each print one line: no indent, the C encoder."""
+    path = write_state(tmp_path, f"{case}.json", case, 4, 2, capsys)
+    for argv in (["classify", str(path)], ["compare", str(path), str(path)], ["oracle", str(path)]):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0 and out.endswith("}\n") and out.count("\n") == 1
+        assert json.loads(out)
+
+
+def _per_entry(value):
+    """The per-entry rule that the array branch of ``_jsonable`` replaces: every array via tolist()."""
+    if isinstance(value, float):
+        return float(f"{value:.15g}")
+    if isinstance(value, complex):
+        return [_per_entry(value.real), _per_entry(value.imag)]
+    if isinstance(value, (list, tuple)):
+        return [_per_entry(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return _per_entry(value.tolist())
+    return value
+
+
+def _bits(value):
+    """A nested value with each leaf as (type, float bits or value), so that -0.0 differs from 0.0."""
+    if isinstance(value, list):
+        return [_bits(item) for item in value]
+    if isinstance(value, float):
+        return float, np.float64(value).tobytes()
+    return type(value), value
+
+
+_RNG = np.random.default_rng(11)
+_EDGES = np.array([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2,
+                   2 / 3, 1e-300 / 3, 0.123456789012345678, 9.99999999999999e22, 1234567.89012345678])
+_FLOAT_ARRAYS = {
+    "0-d": np.array(2 / 3),
+    "0-d-complex": np.array(1 / 3 - 2j / 7),
+    "1-d": _RNG.standard_normal(7),
+    "2-d": _RNG.standard_normal((3, 4)),
+    "3-d-complex": _RNG.standard_normal((2, 3, 4)) + 1j * _RNG.standard_normal((2, 3, 4)),
+    "empty": np.zeros(0),
+    "empty-rows": np.zeros((3, 0)),
+    "empty-complex": np.zeros((0, 2), complex),
+    "fortran": np.asfortranarray(_RNG.standard_normal((4, 3)) + 1j * _RNG.standard_normal((4, 3))),
+    "transposed": (_RNG.standard_normal((3, 5)) + 1j * _RNG.standard_normal((3, 5))).T,
+    "strided": _RNG.standard_normal((6, 8))[::2, ::-3],
+    "real-part-view": (_RNG.standard_normal((3, 3)) + 1j).real,
+    "edges": _EDGES,
+    "edges-complex": _EDGES + 1j * _EDGES[::-1],
+    "float32": _RNG.standard_normal((3, 3)).astype(np.float32),
+    "complex64": (_RNG.standard_normal((2, 3)) + 1j * _RNG.standard_normal((2, 3))).astype(np.complex64),
+    "float16": np.array([1 / 3, -0.0, 65504.0], np.float16),
+}
+
+
+class TestJsonableArrays:
+    @pytest.mark.parametrize("arr", list(_FLOAT_ARRAYS.values()), ids=list(_FLOAT_ARRAYS))
+    def test_float_arrays_equal_the_per_entry_rule(self, arr):
+        from luorbits.cli import _jsonable
+        assert _bits(_jsonable(arr)) == _bits(_per_entry(arr))
+
+    @pytest.mark.parametrize("arr", [np.arange(6).reshape(2, 3), np.array([True, False]), np.array(7),
+                                     np.array(["a", "b"]), np.zeros((0, 2), int)])
+    def test_other_dtypes_go_through_tolist(self, arr):
+        from luorbits.cli import _jsonable
+        assert _bits(_jsonable(arr)) == _bits(arr.tolist())
+
+    def test_fifteen_digits_are_kept(self):
+        from luorbits.cli import _jsonable
+        out = _jsonable(_EDGES)
+        assert out[0] == 0.0 and np.signbit(out[0]) and out[1] == 5e-324
+        assert out[5] == 0.3 and out[8] == 0.123456789012346 and out[9] == 9.99999999999999e22

@@ -1,6 +1,7 @@
 """Tests for the gating rules of tools/corpus_diff.py on hand-made dumps."""
 
 import importlib.util
+import json
 import pickle
 from pathlib import Path
 
@@ -96,3 +97,35 @@ class TestCorpusDiff:
             np.testing.assert_allclose(leaves["raw.lambdas"][:1], [2.0], rtol=0, atol=1e-15)
         else:
             assert leaves["raw.exception"] == "SymmetryViolation"
+
+
+def cli_leaves(stdout):
+    return corpus_diff.leaves_of("cli-cold", None, (0, stdout, ""))
+
+
+class TestCliStdoutByValue:
+    PAYLOAD = {"equivalent": True, "spectral_distance": 0.1, "witness": {"u": [[[1.0, -0.0]]], "v": None},
+               "warnings": ["near a stratum boundary"]}
+
+    def test_layout_alone_is_no_difference(self, tmp_path):
+        old = cli_leaves(json.dumps(self.PAYLOAD, indent=2))
+        new = cli_leaves(json.dumps(self.PAYLOAD))
+        assert old["stdout"] == ("equivalent", "spectral_distance", "witness", "warnings")
+        assert old["stdout.witness"] == ("u", "v") and old["stdout.witness.v"] is None
+        fields, failing, _ = run_diff(tmp_path, old, new)
+        assert failing == [] and all(row[1] == 0 for row in fields.values())
+
+    @pytest.mark.parametrize("changed, field", [
+        ({"spectral_distance": 0.10000000000000002}, "stdout.spectral_distance"),  # the last bit
+        ({"witness": {"u": [[[1.0, 0.0]]], "v": None}}, "stdout.witness.u"),  # -0.0 against 0.0
+        ({"witness": {"v": None, "u": [[[1.0, -0.0]]]}}, "stdout.witness"),  # key order
+    ])
+    def test_a_float_bit_or_a_key_order_is_a_difference(self, tmp_path, changed, field):
+        fields, failing, _ = run_diff(tmp_path, cli_leaves(json.dumps(self.PAYLOAD)),
+                                      cli_leaves(json.dumps({**self.PAYLOAD, **changed})))
+        assert fields[field][1] == 1 and sum(row[1] for row in fields.values()) == 1
+        assert failing == []  # reported, not gated: only the exit code is
+
+    def test_text_that_is_not_json_stays_text(self):
+        leaves = cli_leaves("")
+        assert leaves == {"exit_code": 0, "stderr": "", "stdout": ""}

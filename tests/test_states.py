@@ -524,6 +524,7 @@ class TestStateFiles:
         "empty": [],
         "part-string": with_entry(["1", 0]),
         "part-bool": with_entry([True, 0]),
+        "part-false": with_entry([1, False]),
         "part-none": with_entry([None, 0]),
         "part-list": with_entry([[1], 0]),
         "int-beyond-float": with_entry([10**400, 0]),
@@ -540,6 +541,20 @@ class TestStateFiles:
         payload = json.loads(json.dumps({"case": "boson", "n": 2, "matrix": matrix}))
         with pytest.raises(ParseError, match="matrix"):
             state_from_dict(payload)
+
+    @pytest.mark.parametrize("number", [int, float, np.float64])
+    def test_int_float_and_numpy_float_entries_are_accepted(self, number):
+        # what a Python caller may pass besides json.load's int and float
+        zero = [number(0), number(0)]
+        matrix = [[[number(3), number(0)], zero], [zero, [number(4), number(0)]]]
+        state = state_from_dict({"case": "dist", "n": 2, "matrix": matrix})
+        expected = validate(np.diag([3.0, 4.0]), ParticleCase.DISTINGUISHABLE)
+        assert state.coeffs.tobytes() == expected.coeffs.tobytes()
+
+    @pytest.mark.parametrize("entry", [np.bool_(True), np.str_("1")])
+    def test_numpy_bool_and_str_entries_are_rejected(self, entry):
+        with pytest.raises(ParseError, match="matrix"):
+            state_from_dict({"case": "boson", "n": 2, "matrix": with_entry([entry, 0])})
 
     @pytest.mark.parametrize("n", [2, 5, 64])
     @pytest.mark.parametrize("case", ALL_CASES)

@@ -13,7 +13,10 @@ repeats.  This is round 0 of ``perfbench/run.py --seed 1..3``.
 Every output is dumped with exact float bits: lambdas, witnesses, global phase,
 residual, p, q, the orbit invariants, both equivalence verdicts with their
 warnings, every oracle report field, the strata listings, the CLI's exit code,
-stdout and stderr, the checks' verdict and any exception.  Each desk-small and
+stdout and stderr, the checks' verdict and any exception.  A CLI stdout that
+parses as JSON is dumped by value, so layout alone is no difference: one leaf
+per value at ``stdout.<key path>`` and, at each object's own path, its key order
+as a tuple; any other stdout is dumped as its text.  Each desk-small and
 large-n job's raw matrix also goes through the raw-array factorization of its
 case (``takagi``, ``youla_antisymmetric`` or ``svd_congruence``), whose
 factors, values or exception are dumped as ``raw.*``.  The report counts
@@ -30,6 +33,7 @@ import dataclasses
 import enum
 import io
 import itertools
+import json
 import os
 import pickle
 import re
@@ -57,7 +61,9 @@ PROPERTIES = {"CanonicalForm": ("n_levels", "residual"), "MomentImage": ("q_spec
 
 
 def flatten(obj, path: str, out: dict) -> None:
-    """Leaves of a result by dotted path: arrays (floats as 0-d arrays), ints, bools, strs, tuples."""
+    """Leaves of a result by dotted path: arrays (floats as 0-d arrays), ints, bools, strs, tuples.
+
+    A dict's own path holds its key order as a tuple, and each value sits at ``path.key``."""
     if isinstance(obj, np.generic):
         obj = obj.item()
     if isinstance(obj, enum.Enum):
@@ -74,6 +80,10 @@ def flatten(obj, path: str, out: dict) -> None:
         else:
             for i, item in enumerate(obj):
                 flatten(item, f"{path}[{i}]", out)
+    elif isinstance(obj, dict):
+        out[path] = tuple(obj)
+        for key, item in obj.items():
+            flatten(item, f"{path}.{key}", out)
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             if not f.name.startswith("_"):
@@ -88,7 +98,13 @@ def leaves_of(name: str, job, out) -> dict:
     leaves = {}
     if name == "cli-cold":
         code, stdout, stderr = out
-        leaves.update(exit_code=code, stdout=stdout, stderr=stderr)
+        leaves.update(exit_code=code, stderr=stderr)
+        try:
+            payload = json.loads(stdout)
+        except ValueError:  # not JSON: the text itself
+            leaves["stdout"] = stdout
+        else:
+            flatten(payload, "stdout", leaves)
     elif name != "oracle-sweep":
         for label, part in zip(("cf", "moment", "inv", "eq", "ne"), out):
             flatten(part, label, leaves)
