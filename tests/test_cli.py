@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import luorbits
-from luorbits.cli import main
+from luorbits.cli import _jsonable, main
 from luorbits.states import haar_special_unitary
 
 
@@ -436,17 +436,14 @@ _FLOAT_ARRAYS = {
 class TestJsonableArrays:
     @pytest.mark.parametrize("arr", list(_FLOAT_ARRAYS.values()), ids=list(_FLOAT_ARRAYS))
     def test_float_arrays_equal_the_per_entry_rule(self, arr):
-        from luorbits.cli import _jsonable
         assert _bits(_jsonable(arr)) == _bits(_per_entry(arr))
 
     @pytest.mark.parametrize("arr", [np.arange(6).reshape(2, 3), np.array([True, False]), np.array(7),
                                      np.array(["a", "b"]), np.zeros((0, 2), int)])
     def test_other_dtypes_go_through_tolist(self, arr):
-        from luorbits.cli import _jsonable
         assert _bits(_jsonable(arr)) == _bits(arr.tolist())
 
     def test_fifteen_digits_are_kept(self):
-        from luorbits.cli import _jsonable
         out = _jsonable(_EDGES)
         assert out[0] == 0.0 and np.signbit(out[0]) and out[1] == 5e-324
         assert out[5] == 0.3 and out[8] == 0.123456789012346 and out[9] == 9.99999999999999e22
